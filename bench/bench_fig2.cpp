@@ -10,7 +10,7 @@
 // rho, a large k >= 2 jump from ESTPATH, then at most a couple of
 // fine-tuning iterations to land under r*.
 // `--method=<factoring|inclusion-exclusion|series-parallel|bdd>` selects the
-// exact analyzer RELANALYSIS runs with (default factoring); every method is
+// exact analyzer RELANALYSIS runs with (default bdd); every method is
 // exact, so the iteration trace must be method-independent up to the last
 // few ulps of r.
 #include <cstdio>
@@ -24,7 +24,7 @@
 
 int main(int argc, char** argv) {
   using namespace archex;
-  rel::ExactMethod method = rel::ExactMethod::kFactoring;
+  rel::ExactMethod method = rel::kDefaultExactMethod;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--method=", 9) == 0) {
       const auto parsed = rel::parse_exact_method(argv[i] + 9);

@@ -13,7 +13,7 @@
 // one — see Table III) with r* in {2e-3, 2e-6, 2e-7}; the 2e-7 step forces
 // the maximum redundancy this template offers, playing the role of Fig. 3c.
 // `--method=<factoring|inclusion-exclusion|series-parallel|bdd>` selects the
-// exact analyzer the "r (exact)" column is computed with.
+// exact analyzer the "r (exact)" column is computed with (default bdd).
 #include <cstdio>
 #include <cstring>
 
@@ -24,7 +24,7 @@
 
 int main(int argc, char** argv) {
   using namespace archex;
-  rel::ExactMethod method = rel::ExactMethod::kFactoring;
+  rel::ExactMethod method = rel::kDefaultExactMethod;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--method=", 9) == 0) {
       const auto parsed = rel::parse_exact_method(argv[i] + 9);

@@ -161,25 +161,26 @@ Ref BddManager::restrict_step(Ref f, int index, bool value,
   return result;
 }
 
-double BddManager::prob_true(Ref f, const std::vector<double>& p_true) const {
-  ARCHEX_REQUIRE(f < nodes_.size(), "foreign Ref passed to prob_true()");
-  ARCHEX_REQUIRE(p_true.size() == static_cast<std::size_t>(num_vars_),
+double BddManager::prob_false(Ref f,
+                              const std::vector<double>& p_false) const {
+  ARCHEX_REQUIRE(f < nodes_.size(), "foreign Ref passed to prob_false()");
+  ARCHEX_REQUIRE(p_false.size() == static_cast<std::size_t>(num_vars_),
                  "probability vector must cover every variable");
-  for (double p : p_true) {
+  for (double p : p_false) {
     ARCHEX_REQUIRE(p >= 0.0 && p <= 1.0,
                    "variable probabilities must lie in [0, 1]");
   }
-  if (f == kFalse) return 0.0;
-  if (f == kTrue) return 1.0;
+  if (f == kFalse) return 1.0;
+  if (f == kTrue) return 0.0;
   // Children always precede parents in the arena, so one forward sweep is a
-  // complete memoization of P[node = 1] over the shared DAG.
+  // complete memoization of P[node = 0] over the shared DAG.
   std::vector<double> value(nodes_.size());
-  value[kFalse] = 0.0;
-  value[kTrue] = 1.0;
+  value[kFalse] = 1.0;
+  value[kTrue] = 0.0;
   for (Ref ref = 2; ref <= f; ++ref) {
     const Node& node = nodes_[ref];
-    const double pv = p_true[static_cast<std::size_t>(node.var)];
-    value[ref] = pv * value[node.high] + (1.0 - pv) * value[node.low];
+    const double pv = p_false[static_cast<std::size_t>(node.var)];
+    value[ref] = pv * value[node.low] + (1.0 - pv) * value[node.high];
   }
   return value[f];
 }

@@ -5,7 +5,7 @@
 // argument (a self-contained engine with a narrow interface that clients
 // merely dispatch into), this library knows nothing about graphs or
 // reliability — it manipulates Boolean functions over a fixed variable
-// order and evaluates P[f = 1] under independent variable probabilities.
+// order and evaluates P[f = 0] under independent variable probabilities.
 //
 // Design:
 //
@@ -107,11 +107,14 @@ class BddManager {
   /// Cofactor: f with variable `index` fixed to `value`.
   [[nodiscard]] Ref restrict(Ref f, int index, bool value);
 
-  /// P[f = 1] when variable i is independently true with probability
-  /// `p_true[i]`. One memoized forward sweep over the arena (children
+  /// P[f = 0] when variable i is independently false with probability
+  /// `p_false[i]`. One memoized forward sweep over the arena (children
   /// precede parents by construction), O(nodes_allocated) time and one
-  /// double per node of scratch.
-  [[nodiscard]] double prob_true(Ref f, const std::vector<double>& p_true) const;
+  /// double of working memory per node. Every term of the sweep is a
+  /// product of non-negative weights, so a tiny P[f = 0] keeps its relative
+  /// precision (1 - P[f = 1] would cancel below about 1e-16).
+  [[nodiscard]] double prob_false(Ref f,
+                                  const std::vector<double>& p_false) const;
 
   /// Structure accessors (terminals have var() == num_vars()).
   [[nodiscard]] bool is_terminal(Ref f) const { return f <= kTrue; }

@@ -50,23 +50,24 @@ class Configuration {
   /// Exact failure probability of one sink's functional link.
   [[nodiscard]] double failure_probability(
       graph::NodeId sink,
-      rel::ExactMethod method = rel::ExactMethod::kFactoring) const;
+      rel::ExactMethod method = rel::kDefaultExactMethod) const;
 
-  /// Accelerated variant: factoring consults `ctx.cache` at every pivot and
-  /// runs subtrees on `ctx.pool` (bit-identical to the plain overload).
+  /// Accelerated variant: consults `ctx.cache` (whole-graph entries for
+  /// kBdd, every pivot for factoring, which also runs subtrees on
+  /// `ctx.pool`); bit-identical to the plain overload.
   [[nodiscard]] double failure_probability(
       graph::NodeId sink, const rel::EvalContext& ctx,
-      rel::ExactMethod method = rel::ExactMethod::kFactoring) const;
+      rel::ExactMethod method = rel::kDefaultExactMethod) const;
 
   /// Worst exact failure probability over all sinks (the requirement the
   /// synthesis algorithms check).
   [[nodiscard]] double worst_failure_probability(
-      rel::ExactMethod method = rel::ExactMethod::kFactoring) const;
+      rel::ExactMethod method = rel::kDefaultExactMethod) const;
 
   /// Accelerated variant of the worst-sink evaluation.
   [[nodiscard]] double worst_failure_probability(
       const rel::EvalContext& ctx,
-      rel::ExactMethod method = rel::ExactMethod::kFactoring) const;
+      rel::ExactMethod method = rel::kDefaultExactMethod) const;
 
   /// Approximate algebra (eq. 7) for one sink's functional link.
   [[nodiscard]] rel::ApproxResult approximate_failure(

@@ -42,7 +42,7 @@ struct IlpArOptions {
   rel::EvalCache* cache = nullptr;
   support::ThreadPool* pool = nullptr;
   /// Exact analyzer used to verify the synthesized architecture.
-  rel::ExactMethod method = rel::ExactMethod::kFactoring;
+  rel::ExactMethod method = rel::kDefaultExactMethod;
   /// Absolute deadline for the final exact evaluation; overruns abort with
   /// rel::TimeoutError (the solver's budget is its own options' concern).
   std::optional<std::chrono::steady_clock::time_point> deadline;

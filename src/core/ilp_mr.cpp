@@ -243,9 +243,10 @@ IlpMrReport run_ilp_mr(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
     }
   }
 
-  // Successive iterates differ by a few components, so their factoring
-  // recursions share most pivot subproblems: always analyze through a cache,
-  // preferring the caller's (which may already be warm).
+  // Successive iterates differ by a few components, so factoring recursions
+  // share most pivot subproblems and a repeated iterate is a whole-graph hit
+  // for either method: always analyze through a cache, preferring the
+  // caller's (which may already be warm).
   rel::EvalCache local_cache;
   rel::EvalContext ctx;
   ctx.cache = options.cache != nullptr ? options.cache : &local_cache;

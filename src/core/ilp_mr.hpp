@@ -51,7 +51,7 @@ struct IlpMrOptions {
   /// the minimum-redundancy type.
   bool lazy_strategy = false;
   /// Exact analyzer used by RELANALYSIS.
-  rel::ExactMethod method = rel::ExactMethod::kFactoring;
+  rel::ExactMethod method = rel::kDefaultExactMethod;
   /// Lowering used for the learned eq.-(6) constraints.
   PathEncoding encoding = PathEncoding::kFlow;
   /// Accept a solver incumbent when the node/time limit trips before the
@@ -68,8 +68,9 @@ struct IlpMrOptions {
   /// rejected edge selection.
   bool unified_learning = true;
   /// Memoization cache shared by every RELANALYSIS call. Null still
-  /// memoizes *within* the run (successive iterates share most pivot
-  /// subproblems); pass a cache to also share across runs.
+  /// memoizes *within* the run (successive iterates share most factoring
+  /// pivot subproblems; a repeated iterate is a whole-graph hit for BDD);
+  /// pass a cache to also share across runs.
   rel::EvalCache* cache = nullptr;
   /// Optional worker pool for the factoring analyzer.
   support::ThreadPool* pool = nullptr;

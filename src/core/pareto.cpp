@@ -15,8 +15,9 @@ ParetoFrontier sweep_pareto_frontier(
   ARCHEX_REQUIRE(options.max_points >= 1, "need at least one sweep point");
 
   ParetoFrontier frontier;
-  // Adjacent sweep points share most factoring subproblems; evaluate every
-  // step through one cache (the caller's, if provided, which may be warm).
+  // Adjacent sweep points share most factoring subproblems (and repeated
+  // architectures whole-graph entries); evaluate every step through one
+  // cache (the caller's, if provided, which may be warm).
   rel::EvalCache local_cache;
   double target = options.initial_target;
   for (int step = 0; step < options.max_points; ++step) {

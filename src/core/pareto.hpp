@@ -48,7 +48,7 @@ struct ParetoOptions {
   /// Optional worker pool forwarded to each ILP-AR run.
   support::ThreadPool* pool = nullptr;
   /// Exact analyzer used to score each sweep point (forwarded to ILP-AR).
-  rel::ExactMethod method = rel::ExactMethod::kFactoring;
+  rel::ExactMethod method = rel::kDefaultExactMethod;
   /// Absolute deadline forwarded to each ILP-AR run's exact evaluation.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };

@@ -29,7 +29,7 @@
 //   "threads": 2,                  // optional solver thread budget
 //   "target_failure": 1e-4,        // mr | ar
 //   "lazy": false,                 // optional, mr only
-//   "method": "factoring",         // optional exact analyzer name
+//   "method": "factoring",         // optional exact analyzer; default "bdd"
 //   "template": { ...template doc... },  // or "eps_generators": N
 //   "pareto": {"initial_target": 1e-2, "tighten_factor": 0.5,
 //              "max_points": 8}    // optional, pareto only

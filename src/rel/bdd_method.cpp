@@ -187,11 +187,11 @@ double bdd_failure_probability(
   // Branch position per node; only fallible nodes consume a variable.
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<int> var_of(n, -1);
-  std::vector<double> p_true;
+  std::vector<double> p_false;
   for (NodeId v : order) {
     if (p[static_cast<std::size_t>(v)] > 0.0) {
-      var_of[static_cast<std::size_t>(v)] = static_cast<int>(p_true.size());
-      p_true.push_back(1.0 - p[static_cast<std::size_t>(v)]);
+      var_of[static_cast<std::size_t>(v)] = static_cast<int>(p_false.size());
+      p_false.push_back(p[static_cast<std::size_t>(v)]);
     }
   }
 
@@ -199,11 +199,11 @@ double bdd_failure_probability(
   // with width, not node count): tiny graphs avoid a megabyte-sized cache
   // allocation per evaluation, large ones get the full table.
   int table_bits = 4;
-  while ((1 << table_bits) < 64 * static_cast<int>(p_true.size()) &&
+  while ((1 << table_bits) < 64 * static_cast<int>(p_false.size()) &&
          table_bits < 18) {
     ++table_bits;
   }
-  bdd::BddManager mgr(static_cast<int>(p_true.size()), table_bits);
+  bdd::BddManager mgr(static_cast<int>(p_false.size()), table_bits);
   mgr.set_deadline(deadline);
 
   std::vector<bool> is_source(n, false);
@@ -263,7 +263,7 @@ double bdd_failure_probability(
 
   const bdd::Ref f = reach[static_cast<std::size_t>(
       pos[static_cast<std::size_t>(sink)])];
-  const double works = mgr.prob_true(f, p_true);
+  const double failure = mgr.prob_false(f, p_false);
 
   if (stats != nullptr) {
     const bdd::BddStats& ms = mgr.stats();
@@ -277,7 +277,7 @@ double bdd_failure_probability(
     stats->computed_hits = ms.computed_hits;
     stats->computed_hit_rate = ms.computed_hit_rate();
   }
-  return 1.0 - works;
+  return failure;
 }
 
 }  // namespace archex::rel

@@ -3,7 +3,7 @@
 // BDD-based exact K-terminal reliability (ExactMethod::kBdd): compile the
 // source->sink connectivity function of a digraph — node-failure semantics,
 // the sink's own failure included — into an ROBDD (src/bdd), then read
-// P[connected] off the diagram in one memoized sweep. This is the
+// P[disconnected] off the diagram in one memoized sweep. This is the
 // Lucet & Manouvrier-style evaluation referenced in exact.hpp: its cost
 // scales with the BDD width induced by the variable ordering rather than
 // with the pathset count, making it the method of choice for dense
@@ -18,7 +18,9 @@
 // by Gauss–Seidel iteration over the order until no BDD changes (paths
 // lengthen by at least one edge per round, so at most |relevant| rounds; a
 // DAG in topological order converges in one). R_sink is the connectivity
-// function; failure = 1 − P[R_sink = 1] with P[x_v = 1] = 1 − p_v.
+// function; failure = P[R_sink = 0] with P[x_v = 0] = p_v, evaluated
+// directly rather than as 1 − P[R_sink = 1], which cancels to 0 or loses
+// most of its digits once the failure drops below about 1e-16.
 // Perfectly reliable nodes (p_v = 0) never allocate a variable — their
 // literal is the constant true, mirroring the factoring engine's
 // "perfectly reliable nodes never branch" rule.

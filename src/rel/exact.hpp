@@ -43,10 +43,14 @@ enum class ExactMethod {
   /// irreducible graphs. Always exact.
   kSeriesParallelAuto,
   /// Compile the source->sink connectivity function into an ROBDD (src/bdd)
-  /// under a structural variable ordering and evaluate P[f = 1] in one
+  /// under a structural variable ordering and evaluate P[f = 0] in one
   /// sweep. Exact; cost scales with BDD width rather than pathset count.
   kBdd,
 };
+
+/// The exact method every entry point uses unless told otherwise. Factoring
+/// stays selectable and is the differential reference in the tests.
+inline constexpr ExactMethod kDefaultExactMethod = ExactMethod::kBdd;
 
 /// An exact analyzer exceeded the EvalContext deadline. Thrown by the
 /// `failure_probability` overloads; `try_failure_probability` converts it
@@ -96,7 +100,7 @@ struct EvalContext {
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     graph::NodeId sink, const std::vector<double>& p,
-    ExactMethod method = ExactMethod::kFactoring,
+    ExactMethod method = kDefaultExactMethod,
     std::size_t max_paths = 1u << 20);
 
 /// Accelerated variant: consults/extends `ctx.cache` at every factoring
@@ -106,7 +110,7 @@ struct EvalContext {
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     graph::NodeId sink, const std::vector<double>& p, const EvalContext& ctx,
-    ExactMethod method = ExactMethod::kFactoring,
+    ExactMethod method = kDefaultExactMethod,
     std::size_t max_paths = 1u << 20);
 
 /// Deadline-tolerant variant: identical to the EvalContext overload but a
@@ -115,14 +119,14 @@ struct EvalContext {
 [[nodiscard]] EvalResult try_failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     graph::NodeId sink, const std::vector<double>& p, const EvalContext& ctx,
-    ExactMethod method = ExactMethod::kFactoring,
+    ExactMethod method = kDefaultExactMethod,
     std::size_t max_paths = 1u << 20);
 
 /// Convenience overload: sources are the members of type 0 (Π_1).
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const graph::Partition& partition,
     graph::NodeId sink, const std::vector<double>& p,
-    ExactMethod method = ExactMethod::kFactoring,
+    ExactMethod method = kDefaultExactMethod,
     std::size_t max_paths = 1u << 20);
 
 /// Short lowercase name of the method ("factoring", "bdd", ...).
@@ -138,7 +142,7 @@ struct EvalContext {
 [[nodiscard]] double worst_failure_probability(
     const graph::Digraph& g, const graph::Partition& partition,
     const std::vector<graph::NodeId>& sinks, const std::vector<double>& p,
-    ExactMethod method = ExactMethod::kFactoring,
+    ExactMethod method = kDefaultExactMethod,
     const EvalContext& ctx = {});
 
 }  // namespace archex::rel

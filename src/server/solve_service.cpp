@@ -127,7 +127,7 @@ core::SolveResponse SolveService::handle(const core::SolveRequest& request) {
   try {
     const Instance instance = make_instance(request);
 
-    rel::ExactMethod method = rel::ExactMethod::kFactoring;
+    rel::ExactMethod method = rel::kDefaultExactMethod;
     if (!request.method.empty()) {
       const auto parsed = rel::parse_exact_method(request.method);
       if (!parsed) {

@@ -2,15 +2,19 @@
 // canonicity, ite rules, restrict, probability sweep, counters), the
 // rel::ExactMethod::kBdd analyzer against closed forms and the other exact
 // methods on randomized DAGs and general digraphs, the variable-ordering
-// heuristics, the whole-graph EvalCache interaction (including the
-// first-writer-wins contract across methods), and the EvalContext deadline.
+// heuristics, relative precision of failures far below 1e-16, the
+// whole-graph EvalCache interaction (including the first-writer-wins
+// contract across methods), and the EvalContext deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "core/configuration.hpp"
+#include "eps/eps_template.hpp"
 #include "graph/digraph.hpp"
 #include "rel/bdd_method.hpp"
 #include "rel/eval_cache.hpp"
@@ -29,6 +33,17 @@ using graph::Digraph;
 using graph::NodeId;
 
 // ---- fixtures ---------------------------------------------------------------
+
+/// |actual - expected| <= tol * |expected|. Failures reach 1e-24 here, so an
+/// absolute tolerance such as 1e-12 would accept any answer at all.
+::testing::AssertionResult rel_near(double actual, double expected,
+                                    double tol) {
+  const double err = std::abs(actual - expected);
+  if (err <= tol * std::abs(expected)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << actual << " vs " << expected << ": relative error "
+         << err / std::abs(expected) << " > " << tol;
+}
 
 // Series chain G -> B -> L (closed form mirrors rel_test.cpp).
 struct Series {
@@ -139,18 +154,30 @@ TEST(BddManager, RestrictComputesCofactors) {
   EXPECT_EQ(mgr.restrict(mgr.var(0), 0, false), BddManager::kFalse);
 }
 
-TEST(BddManager, ProbTrueMatchesHandComputation) {
+TEST(BddManager, ProbFalseMatchesHandComputation) {
   BddManager mgr(3);
-  const std::vector<double> p{0.3, 0.5, 0.2};
-  EXPECT_DOUBLE_EQ(mgr.prob_true(BddManager::kTrue, p), 1.0);
-  EXPECT_DOUBLE_EQ(mgr.prob_true(BddManager::kFalse, p), 0.0);
+  // P[x0 = 0] = 0.7, P[x1 = 0] = 0.5, P[x2 = 0] = 0.8.
+  const std::vector<double> p{0.7, 0.5, 0.8};
+  EXPECT_DOUBLE_EQ(mgr.prob_false(BddManager::kTrue, p), 0.0);
+  EXPECT_DOUBLE_EQ(mgr.prob_false(BddManager::kFalse, p), 1.0);
+  // P[x0 & x1 = 0] = 1 - 0.3 * 0.5.
   const Ref a = mgr.bdd_and(mgr.var(0), mgr.var(1));
-  EXPECT_NEAR(mgr.prob_true(a, p), 0.3 * 0.5, 1e-15);
+  EXPECT_NEAR(mgr.prob_false(a, p), 0.85, 1e-15);
+  // P[x0 | x1 = 0] = 0.7 * 0.5.
   const Ref o = mgr.bdd_or(mgr.var(0), mgr.var(1));
-  EXPECT_NEAR(mgr.prob_true(o, p), 1.0 - 0.7 * 0.5, 1e-15);
-  // P[(x0 & x1) | x2] = p2 + (1 - p2) p0 p1 (x2 independent of the rest).
+  EXPECT_NEAR(mgr.prob_false(o, p), 0.35, 1e-15);
+  // P[(x0 & x1) | x2 = 0] = P[x2 = 0] P[x0 & x1 = 0] = 0.8 * 0.85.
   const Ref f = mgr.bdd_or(a, mgr.var(2));
-  EXPECT_NEAR(mgr.prob_true(f, p), 0.2 + 0.8 * 0.15, 1e-15);
+  EXPECT_NEAR(mgr.prob_false(f, p), 0.68, 1e-15);
+}
+
+TEST(BddManager, ProbFalseKeepsRelativePrecisionNearZero) {
+  // x0 | x1 | x2 is false only when all three are: 1e-8^3 = 1e-24, far
+  // below the 1e-16 where 1 - P[f = 1] would cancel to 0.
+  BddManager mgr(3);
+  const Ref f = mgr.bdd_or(mgr.bdd_or(mgr.var(0), mgr.var(1)), mgr.var(2));
+  const double r = mgr.prob_false(f, std::vector<double>(3, 1e-8));
+  EXPECT_NEAR(r, 1e-24, 1e-36);
 }
 
 TEST(BddManager, StatsCountConsingAndComputedTraffic) {
@@ -179,7 +206,7 @@ TEST(BddManager, ParityIsCanonicalAndTableLoadStaysBounded) {
   EXPECT_EQ(mgr.num_nodes(f), static_cast<std::size_t>(31));
   const BddStats& s = mgr.stats();
   EXPECT_GE(s.unique_buckets, s.unique_entries);  // rehash keeps load <= 1
-  EXPECT_NEAR(mgr.prob_true(f, std::vector<double>(16, 0.5)), 0.5, 1e-15);
+  EXPECT_NEAR(mgr.prob_false(f, std::vector<double>(16, 0.5)), 0.5, 1e-15);
 }
 
 TEST(BddManager, NumNodesCountsDecisionNodesOnly) {
@@ -301,6 +328,75 @@ TEST(BddMethod, PerfectlyReliableNodesConsumeNoVariable) {
   EXPECT_EQ(stats.num_vars, 6);
 }
 
+// ---- relative precision near zero ------------------------------------------
+//
+// Architectures that meet tight targets fail with probabilities far below
+// 1e-16, where computing 1 - P[connected] cancels to 0 or to a value several
+// percent off. Both exact methods must hold relative precision there.
+
+TEST(BddPrecision, DisjointChainsMatchClosedFormNearZero) {
+  // k disjoint chains of `len` nodes with p = 1e-6 into a perfect sink: the
+  // sink is cut off iff every chain is, so failure = q^k with
+  // q = 1 - (1 - p)^len — 1e-24 for k = 4, len = 1.
+  const double p_node = 1e-6;
+  for (int k = 2; k <= 4; ++k) {
+    for (int len : {1, 3}) {
+      const NodeId sink = k * len;
+      Digraph g(sink + 1);
+      std::vector<NodeId> sources;
+      for (int c = 0; c < k; ++c) {
+        const NodeId head = c * len;
+        sources.push_back(head);
+        for (int j = 0; j + 1 < len; ++j) g.add_edge(head + j, head + j + 1);
+        g.add_edge(head + len - 1, sink);
+      }
+      std::vector<double> p(static_cast<std::size_t>(sink + 1), p_node);
+      p.back() = 0.0;
+      const double q = -std::expm1(len * std::log1p(-p_node));
+      const double expected = std::pow(q, k);
+      for (ExactMethod m : {ExactMethod::kBdd, ExactMethod::kFactoring}) {
+        EXPECT_TRUE(rel_near(failure_probability(g, sources, sink, p, m),
+                             expected, 1e-12))
+            << to_string(m) << " k=" << k << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(BddPrecision, EpsRandomSubsetsMatchFactoringRelatively) {
+  // Seeded EPS g4-g6 architectures keeping each candidate edge with a
+  // probability drawn from [0.4, 1): the shapes the analyze benchmark
+  // evaluates, with worst-sink failures down to about 1e-22.
+  double smallest = 1.0;
+  for (int generators : {4, 5, 6}) {
+    eps::EpsSpec spec;
+    spec.num_generators = generators;
+    const core::Template tmpl = eps::make_eps_template(spec).tmpl;
+    Rng rng(static_cast<std::uint64_t>(generators) * 104729 + 11);
+    for (int arch = 0; arch < 3; ++arch) {
+      const double keep = 0.4 + 0.6 * rng.next_double();
+      std::vector<bool> selection;
+      for (int e = 0; e < tmpl.num_candidate_edges(); ++e) {
+        selection.push_back(rng.next_bernoulli(keep));
+      }
+      const core::Configuration config(tmpl, selection);
+      for (NodeId sink : tmpl.sinks()) {
+        EvalCache cache;
+        EvalContext ctx;
+        ctx.cache = &cache;
+        const double rf =
+            config.failure_probability(sink, ctx, ExactMethod::kFactoring);
+        const double rb = config.failure_probability(sink, ExactMethod::kBdd);
+        EXPECT_TRUE(rel_near(rb, rf, 1e-12))
+            << "g" << generators << " arch " << arch << " sink " << sink;
+        if (rf > 0.0) smallest = std::min(smallest, rf);
+      }
+    }
+  }
+  // The seeds must reach the regime where 1 - P[connected] cancels.
+  EXPECT_LT(smallest, 1e-16);
+}
+
 // ---- variable orderings -----------------------------------------------------
 
 TEST(BddOrder, TopologicalOrderRespectsEdges) {
@@ -397,6 +493,7 @@ TEST_P(BddDifferentialDag, AgreesOnRandomDags) {
   const double rb = failure_probability(g, sources, sink, p,
                                         ExactMethod::kBdd);
   EXPECT_NEAR(rb, rf, 1e-12);
+  EXPECT_TRUE(rel_near(rb, rf, 1e-12));
   try {
     const double ri = failure_probability(g, sources, sink, p,
                                           ExactMethod::kInclusionExclusion);
@@ -438,11 +535,13 @@ TEST_P(BddDifferentialDigraph, AgreesOnRandomDigraphs) {
   const double rb = failure_probability(g, sources, sink, p,
                                         ExactMethod::kBdd);
   EXPECT_NEAR(rb, rf, 1e-12);
+  EXPECT_TRUE(rel_near(rb, rf, 1e-12));
   if (GetParam() % 4 == 0) {
     for (BddOrdering ord : {BddOrdering::kTopological, BddOrdering::kBfsLevel,
                             BddOrdering::kDegree}) {
-      EXPECT_NEAR(bdd_failure_probability(g, sources, sink, p, ord), rf,
-                  1e-12);
+      const double ro = bdd_failure_probability(g, sources, sink, p, ord);
+      EXPECT_NEAR(ro, rf, 1e-12);
+      EXPECT_TRUE(rel_near(ro, rf, 1e-12));
     }
   }
   try {

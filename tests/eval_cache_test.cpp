@@ -22,6 +22,11 @@ using graph::Digraph;
 using graph::NodeId;
 using support::ThreadPool;
 
+// The determinism contract below is about the factoring engine's
+// pivot-subproblem caching and pool fan-out, so those tests name it rather
+// than run under the default exact method (BDD).
+constexpr ExactMethod kFactoring = ExactMethod::kFactoring;
+
 EvalKey sample_key(int salt = 0) {
   EvalKey key;
   key.edges = {{0, 1}, {1, 2 + salt}};
@@ -159,18 +164,21 @@ TEST(EvalCacheSharding, DifferentialShardedVsSingleLockOnRandomDags) {
     EvalContext single_ctx;
     single_ctx.cache = &single;
     const double reference = failure_probability(g, sources, sink, p,
-                                                 single_ctx);
+                                                 single_ctx, kFactoring);
 
     for (const int shards : {2, 16}) {
       EvalCache sharded(1u << 20, shards);
       EvalContext ctx;
       ctx.cache = &sharded;
-      EXPECT_EQ(reference, failure_probability(g, sources, sink, p, ctx))
+      EXPECT_EQ(reference,
+                failure_probability(g, sources, sink, p, ctx, kFactoring))
           << "seed " << seed << " shards " << shards;  // cold serial
-      EXPECT_EQ(reference, failure_probability(g, sources, sink, p, ctx))
+      EXPECT_EQ(reference,
+                failure_probability(g, sources, sink, p, ctx, kFactoring))
           << "seed " << seed << " shards " << shards;  // warm serial
       ctx.pool = &pool;
-      EXPECT_EQ(reference, failure_probability(g, sources, sink, p, ctx))
+      EXPECT_EQ(reference,
+                failure_probability(g, sources, sink, p, ctx, kFactoring))
           << "seed " << seed << " shards " << shards;  // warm parallel
 
       // Same key set -> same resident subproblems, however they stripe.
@@ -183,22 +191,25 @@ TEST(EvalCacheSharding, DifferentialShardedVsSingleLockOnRandomDags) {
 TEST(EvalCacheSharding, ConcurrentMixedWorkloadStaysConsistent) {
   // Many threads hammer one sharded cache with overlapping evaluations;
   // every value read back must equal the serial reference (first-writer-
-  // wins stores identical bits). Exercised under TSan via the `parallel`
-  // and `server` labels.
+  // wins stores identical bits). Factoring stores every pivot subproblem,
+  // BDD (the default) one whole-graph entry. Exercised under TSan via the
+  // `parallel` and `server` labels.
   std::vector<double> p;
   const Digraph g = random_dag(4242, 10, p);
   const std::vector<NodeId> sources{0, 1};
   const NodeId sink = g.num_nodes() - 1;
-  const double reference = failure_probability(g, sources, sink, p);
-
-  EvalCache cache(1u << 20, 8);
   ThreadPool pool(4);
-  pool.parallel_for(0, 16, [&](std::size_t) {
-    EvalContext ctx;
-    ctx.cache = &cache;
-    EXPECT_EQ(reference, failure_probability(g, sources, sink, p, ctx));
-  });
-  EXPECT_GT(cache.stats().hits, 0u);
+  for (const ExactMethod method : {kFactoring, ExactMethod::kBdd}) {
+    const double reference = failure_probability(g, sources, sink, p, method);
+    EvalCache cache(1u << 20, 8);
+    pool.parallel_for(0, 16, [&](std::size_t) {
+      EvalContext ctx;
+      ctx.cache = &cache;
+      EXPECT_EQ(reference,
+                failure_probability(g, sources, sink, p, ctx, method));
+    });
+    EXPECT_GT(cache.stats().hits, 0u) << to_string(method);
+  }
 }
 
 // ---- determinism contract: factoring ----------------------------------------
@@ -210,13 +221,15 @@ TEST(EvalCacheDeterminism, CachedFactoringBitIdenticalToPlain) {
     const std::vector<NodeId> sources{0, 1};
     const NodeId sink = g.num_nodes() - 1;
 
-    const double plain = failure_probability(g, sources, sink, p);
+    const double plain = failure_probability(g, sources, sink, p, kFactoring);
 
     EvalCache cache;
     EvalContext ctx;
     ctx.cache = &cache;
-    const double cold = failure_probability(g, sources, sink, p, ctx);
-    const double warm = failure_probability(g, sources, sink, p, ctx);
+    const double cold =
+        failure_probability(g, sources, sink, p, ctx, kFactoring);
+    const double warm =
+        failure_probability(g, sources, sink, p, ctx, kFactoring);
 
     EXPECT_EQ(plain, cold) << "seed " << seed;   // bit-identical, not NEAR
     EXPECT_EQ(plain, warm) << "seed " << seed;
@@ -239,13 +252,14 @@ TEST(EvalCacheDeterminism, CacheSharedAcrossSimilarGraphs) {
   EvalCache cache;
   EvalContext ctx;
   ctx.cache = &cache;
-  (void)failure_probability(g, {0, 1}, g.num_nodes() - 1, p, ctx);
+  (void)failure_probability(g, {0, 1}, g.num_nodes() - 1, p, ctx, kFactoring);
   const auto before = cache.stats();
   const double accelerated =
-      failure_probability(g2, {0, 1}, g.num_nodes() - 1, p, ctx);
+      failure_probability(g2, {0, 1}, g.num_nodes() - 1, p, ctx, kFactoring);
   const auto after = cache.stats();
   EXPECT_GT(after.hits, before.hits);
-  EXPECT_EQ(accelerated, failure_probability(g2, {0, 1}, g.num_nodes() - 1, p));
+  EXPECT_EQ(accelerated,
+            failure_probability(g2, {0, 1}, g.num_nodes() - 1, p, kFactoring));
 }
 
 TEST(EvalCacheDeterminism, ParallelFactoringBitIdenticalToSerial) {
@@ -256,12 +270,13 @@ TEST(EvalCacheDeterminism, ParallelFactoringBitIdenticalToSerial) {
     const std::vector<NodeId> sources{0, 1};
     const NodeId sink = g.num_nodes() - 1;
 
-    const double serial = failure_probability(g, sources, sink, p);
+    const double serial = failure_probability(g, sources, sink, p, kFactoring);
 
     // Pool only.
     EvalContext pool_ctx;
     pool_ctx.pool = &pool;
-    EXPECT_EQ(serial, failure_probability(g, sources, sink, p, pool_ctx))
+    EXPECT_EQ(serial,
+              failure_probability(g, sources, sink, p, pool_ctx, kFactoring))
         << "seed " << seed;
 
     // Pool + shared cache (the production configuration).
@@ -269,9 +284,11 @@ TEST(EvalCacheDeterminism, ParallelFactoringBitIdenticalToSerial) {
     EvalContext full_ctx;
     full_ctx.pool = &pool;
     full_ctx.cache = &cache;
-    EXPECT_EQ(serial, failure_probability(g, sources, sink, p, full_ctx))
+    EXPECT_EQ(serial,
+              failure_probability(g, sources, sink, p, full_ctx, kFactoring))
         << "seed " << seed;
-    EXPECT_EQ(serial, failure_probability(g, sources, sink, p, full_ctx))
+    EXPECT_EQ(serial,
+              failure_probability(g, sources, sink, p, full_ctx, kFactoring))
         << "seed " << seed;  // warm-cache parallel rerun
   }
 }
@@ -282,11 +299,11 @@ TEST(EvalCacheDeterminism, WorstSinkEvaluationUsesContext) {
   const graph::Partition part({0, 0, 1, 1, 1, 1, 1, 2, 2});
   const std::vector<NodeId> sinks{7, 8};
 
-  const double plain = worst_failure_probability(g, part, sinks, p);
+  const double plain = worst_failure_probability(g, part, sinks, p, kFactoring);
   EvalCache cache;
   ThreadPool pool(3);
   const double accelerated = worst_failure_probability(
-      g, part, sinks, p, ExactMethod::kFactoring, {&cache, &pool});
+      g, part, sinks, p, kFactoring, {&cache, &pool});
   EXPECT_EQ(plain, accelerated);
   EXPECT_GT(cache.stats().misses, 0u);
 }

@@ -20,6 +20,10 @@ using graph::Digraph;
 using graph::NodeId;
 using graph::Partition;
 
+// The Exact.* edge cases pin factoring's own handling; bdd_test.cpp checks
+// the same cases for the default method (BDD).
+constexpr ExactMethod kFactoring = ExactMethod::kFactoring;
+
 // ---- closed-form fixtures ---------------------------------------------------
 
 // Series chain G -> B -> L.
@@ -96,29 +100,31 @@ TEST(Exact, SinkIsSource) {
   Digraph g(2);
   g.add_edge(0, 1);
   // Sink == the only source: fails exactly when it fails itself.
-  EXPECT_NEAR(failure_probability(g, {0}, 0, {0.25, 0.5}), 0.25, 1e-15);
+  EXPECT_NEAR(failure_probability(g, {0}, 0, {0.25, 0.5}, kFactoring), 0.25,
+              1e-15);
 }
 
 TEST(Exact, DisconnectedSinkFailsCertainly) {
   Digraph g(3);
   g.add_edge(0, 1);  // node 2 isolated
-  EXPECT_DOUBLE_EQ(failure_probability(g, {0}, 2, {0.1, 0.1, 0.1}), 1.0);
+  EXPECT_DOUBLE_EQ(
+      failure_probability(g, {0}, 2, {0.1, 0.1, 0.1}, kFactoring), 1.0);
 }
 
 TEST(Exact, NoSourcesFailsCertainly) {
   Digraph g(2);
   g.add_edge(0, 1);
-  EXPECT_DOUBLE_EQ(failure_probability(g, {}, 1, {0.0, 0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(failure_probability(g, {}, 1, {0.0, 0.0}, kFactoring), 1.0);
 }
 
 TEST(Exact, CertainNodeFailureBreaksOnlyPath) {
   Series s(0.0, 1.0, 0.0);  // the middle node always fails
-  EXPECT_DOUBLE_EQ(failure_probability(s.g, {0}, 2, s.p), 1.0);
+  EXPECT_DOUBLE_EQ(failure_probability(s.g, {0}, 2, s.p, kFactoring), 1.0);
 }
 
 TEST(Exact, PerfectComponentsNeverFail) {
   const Example1 e(0.0, 0.0, 0.0, 0.0);
-  EXPECT_DOUBLE_EQ(failure_probability(e.g, {0, 1}, 6, e.p), 0.0);
+  EXPECT_DOUBLE_EQ(failure_probability(e.g, {0, 1}, 6, e.p, kFactoring), 0.0);
 }
 
 TEST(Exact, SharedMiddleNodeDominates) {
