@@ -116,9 +116,25 @@ void NogoodStore::snapshot(std::vector<std::pair<int, Nogood>>& out) const {
   }
 }
 
+void NogoodStore::compact() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto dead = [](const Entry& entry) { return entry.dead; };
+  entries_.erase(std::remove_if(entries_.begin(), entries_.end(), dead),
+                 entries_.end());
+  index_.clear();
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    index_.emplace(entries_[i].signature, static_cast<int>(i));
+  }
+}
+
 int NogoodStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return live_;
+}
+
+std::size_t NogoodStore::slots() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 NogoodStore::Stats NogoodStore::stats() const {
@@ -166,6 +182,9 @@ std::shared_ptr<NogoodStore> NogoodStoreRegistry::acquire(std::uint64_t key) {
     std::lock_guard<std::mutex> lock(mu_);
     auto& slot = stores_[key];
     if (!slot) slot = std::make_shared<NogoodStore>(opt_);
+    // Only the registry holds the store, so no solve keeps an entry index
+    // into it, and none can take the store before the lock is released.
+    if (slot.use_count() == 1) slot->compact();
     store = slot;
   }
   // Outside the registry lock: the purge takes the store's own mutex and

@@ -114,8 +114,16 @@ class NogoodStore {
   /// Copy the live entries with their stable indices (solve-start compile).
   void snapshot(std::vector<std::pair<int, Nogood>>& out) const;
 
+  /// Reclaim the slots of dead entries: live entries keep their relative
+  /// order (and activities) but get new indices. Only call while no solve
+  /// holds indices into the store (NogoodStoreRegistry::acquire does it
+  /// when no request holds the store).
+  void compact();
+
   /// Live-entry count.
   [[nodiscard]] int size() const;
+  /// Entry slots held, dead ones included (what compact() reclaims).
+  [[nodiscard]] std::size_t slots() const;
 
   struct Stats {
     long inserted = 0;   // entries accepted (post-dedup)
@@ -153,7 +161,9 @@ class NogoodStore {
 /// solve mode and reliability target, which together pin the variable
 /// numbering and the oracle predicate). acquire() purges every non-oracle
 /// entry before handing the store out — see NogoodStore::purge_non_oracle()
-/// for why only oracle entries survive a model reset. Thread-safe.
+/// for why only oracle entries survive a model reset — and compacts a
+/// store no request holds, so a family's store does not keep one dead slot
+/// per entry every earlier request learned. Thread-safe.
 class NogoodStoreRegistry {
  public:
   explicit NogoodStoreRegistry(NogoodStoreOptions options = {})

@@ -110,6 +110,53 @@ TEST(NogoodStoreRegistry, AcquireSharesStoresPerKeyAndPurgesNonOracle) {
   EXPECT_EQ(registry.families(), 2u);
 }
 
+TEST(NogoodStoreRegistry, RepeatedRequestsKeepStoreSlotsBounded) {
+  // Each cycle is one request: acquire the family store, learn transient
+  // and infeasibility nogoods plus an occasional oracle one, release. The
+  // next acquire purges the non-oracle entries; without compaction their
+  // dead slots would pile up for the life of the process.
+  NogoodStoreRegistry registry;
+  std::size_t max_slots = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const auto store = registry.acquire(42);
+    for (int k = 0; k < 30; ++k) {
+      const int v = 1000 + cycle * 30 + k;
+      (void)store->insert(make_nogood({v}, {}, NogoodSource::kInfeasible));
+      (void)store->insert(make_nogood({}, {v}, NogoodSource::kDominance));
+    }
+    // Oracle nogoods repeat across requests (dedup) and a few are new.
+    (void)store->insert(make_nogood({cycle % 7}, {}, NogoodSource::kOracle));
+    max_slots = std::max(max_slots, store->slots());
+  }
+  const auto store = registry.acquire(42);
+  EXPECT_EQ(store->size(), 7);  // every oracle nogood survives
+  EXPECT_LE(max_slots, 7u + 2u * 30u + 60u);
+  // Live entries keep their order: the oracle ones in first-seen order.
+  std::vector<std::pair<int, Nogood>> live;
+  store->snapshot(live);
+  ASSERT_EQ(live.size(), 7u);
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(live[static_cast<std::size_t>(i)].second.ones,
+              std::vector<int>{i});
+  }
+}
+
+TEST(NogoodStoreRegistry, HeldStoreIsNotCompacted) {
+  // A request in flight holds entry indices; a concurrent acquire of the
+  // same family must not move them.
+  NogoodStoreRegistry registry;
+  const auto first = registry.acquire(9);
+  ASSERT_GE(first->insert(make_nogood({0}, {}, NogoodSource::kInfeasible)), 0);
+  const int oracle = first->insert(make_nogood({1}, {}, NogoodSource::kOracle));
+  ASSERT_EQ(oracle, 1);
+  const auto second = registry.acquire(9);  // purges entry 0, keeps slot
+  EXPECT_EQ(second->slots(), 2u);
+  std::vector<std::pair<int, Nogood>> live;
+  second->snapshot(live);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].first, oracle);
+}
+
 TEST(NogoodStore, DuplicateFromPermanentSourceUpgradesDominanceEntry) {
   // An assignment first learned against the incumbent (transient) and later
   // proven infeasible outright must survive the next purge.
