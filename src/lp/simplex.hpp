@@ -48,10 +48,11 @@ struct SimplexOptions {
   long max_iterations = 0;
   /// Feasibility / optimality tolerance.
   double tol = 1e-9;
-  /// Rebuild the basis inverse from scratch every this many pivots. The
-  /// product-form update is O(m^2) while a refactorization is O(m^3), so
-  /// this is drift control only — keep it rare. Basic values are
-  /// recomputed (cheaply) every `recompute_every` pivots in between.
+  /// Rebuild the basis representation from scratch every this many pivots:
+  /// drift control only, keep it rare (on the sparse path the eta-growth
+  /// bounds below refactorize long before; the dense oracle's update and
+  /// refactorization cost O(m^2) and O(m^3)). Basic values are recomputed
+  /// (cheaply) every `recompute_every` pivots in between.
   int refactor_every = 4096;
   /// Recompute basic values from the nonbasic assignment this often, to
   /// bound error accumulation between refactorizations.
