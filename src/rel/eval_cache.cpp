@@ -8,20 +8,28 @@ namespace archex::rel {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+constexpr std::uint64_t kSeed = 0x243f6a8885a308d3ULL;
+constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
 
 inline void mix(std::uint64_t& h, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (word >> (8 * byte)) & 0xffULL;
-    h *= kFnvPrime;
-  }
+  h = (h ^ word) * kMul;
+  h ^= h >> 29;
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit reaches every output bit.
+inline std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
 }
 
 }  // namespace
 
 std::uint64_t EvalKey::hash() const {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kSeed;
   mix(h, static_cast<std::uint64_t>(sink));
   mix(h, probs.size());
   for (double p : probs) mix(h, std::bit_cast<std::uint64_t>(p));
@@ -32,7 +40,7 @@ std::uint64_t EvalKey::hash() const {
   }
   mix(h, sources.size());
   for (int s : sources) mix(h, static_cast<std::uint64_t>(s));
-  return h;
+  return avalanche(h);
 }
 
 EvalCache::EvalCache(std::size_t max_entries, int num_shards)
@@ -47,9 +55,10 @@ EvalCache::EvalCache(std::size_t max_entries, int num_shards)
 }
 
 std::optional<double> EvalCache::lookup(const EvalKey& key) {
-  Shard& shard = shard_for(key.hash());
+  const Probe probe{key, key.hash()};
+  Shard& shard = shard_for(probe.hash);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(key);
+  const auto it = shard.entries.find(probe);
   if (it == shard.entries.end()) {
     ++shard.misses;
     return std::nullopt;
@@ -59,16 +68,16 @@ std::optional<double> EvalCache::lookup(const EvalKey& key) {
 }
 
 void EvalCache::store(const EvalKey& key, double value) {
-  Shard& shard = shard_for(key.hash());
+  const Probe probe{key, key.hash()};
+  Shard& shard = shard_for(probe.hash);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  if (total_entries_.load(std::memory_order_relaxed) >= max_entries_ &&
-      !shard.entries.contains(key)) {
+  if (shard.entries.contains(probe)) return;
+  if (total_entries_.load(std::memory_order_relaxed) >= max_entries_) {
     ++shard.rejected;
     return;
   }
-  if (shard.entries.try_emplace(key, value).second) {
-    total_entries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  shard.entries.emplace(Stored{key, probe.hash}, value);
+  total_entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void EvalCache::clear() {

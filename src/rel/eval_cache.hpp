@@ -48,7 +48,9 @@ struct EvalKey {
 
   bool operator==(const EvalKey&) const = default;
 
-  /// 64-bit structural hash (FNV-1a over the packed representation).
+  /// 64-bit structural hash: a word-wise multiply-xor mix over the packed
+  /// representation with a final avalanche, so the top bits (shard choice)
+  /// and the low bits (bucket choice) both depend on every field.
   [[nodiscard]] std::uint64_t hash() const;
 };
 
@@ -101,16 +103,43 @@ class EvalCache {
   [[nodiscard]] Stats stats() const;
 
  private:
+  /// A resident key with its hash computed once at store time. Lookups
+  /// probe with a (key, hash) pair through the transparent functors below,
+  /// so neither the shard pick nor the map ever rehashes a key.
+  struct Stored {
+    EvalKey key;
+    std::uint64_t hash = 0;
+  };
+  struct Probe {
+    const EvalKey& key;
+    std::uint64_t hash = 0;
+  };
   struct KeyHash {
-    std::size_t operator()(const EvalKey& key) const {
-      return static_cast<std::size_t>(key.hash());
+    using is_transparent = void;
+    std::size_t operator()(const Stored& s) const {
+      return static_cast<std::size_t>(s.hash);
+    }
+    std::size_t operator()(const Probe& p) const {
+      return static_cast<std::size_t>(p.hash);
+    }
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const Stored& a, const Stored& b) const {
+      return a.hash == b.hash && a.key == b.key;
+    }
+    bool operator()(const Probe& a, const Stored& b) const {
+      return a.hash == b.hash && a.key == b.key;
+    }
+    bool operator()(const Stored& a, const Probe& b) const {
+      return a.hash == b.hash && a.key == b.key;
     }
   };
 
   /// One lock stripe: a map plus its observability counters.
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<EvalKey, double, KeyHash> entries;
+    std::unordered_map<Stored, double, KeyHash, KeyEqual> entries;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t rejected = 0;
