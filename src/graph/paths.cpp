@@ -93,32 +93,51 @@ Digraph expand_same_type_shorthand(const Digraph& g,
     }
     return v;
   };
-  for (const auto& [u, v] : g.edges()) {
-    if (partition.same_type(u, v)) {
-      group[static_cast<std::size_t>(find(u))] = find(v);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : g.successors(u)) {
+      if (partition.same_type(u, v)) {
+        group[static_cast<std::size_t>(find(u))] = find(v);
+      }
     }
   }
 
-  // Collect the union of external predecessors/successors per group.
-  std::vector<std::set<NodeId>> gpred(static_cast<std::size_t>(n));
-  std::vector<std::set<NodeId>> gsucc(static_cast<std::size_t>(n));
-  for (const auto& [u, v] : g.edges()) {
-    if (partition.same_type(u, v) && find(u) == find(v)) continue;
-    gpred[static_cast<std::size_t>(find(v))].insert(u);
-    gsucc[static_cast<std::size_t>(find(u))].insert(v);
+  // Collect the union of external predecessors/successors per group as
+  // sorted, duplicate-free (group, neighbour) pairs; pred_begin[g] and
+  // succ_begin[g] index group g's run.
+  std::vector<std::pair<int, NodeId>> gpred;
+  std::vector<std::pair<int, NodeId>> gsucc;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : g.successors(u)) {
+      if (partition.same_type(u, v)) continue;  // intra-group edge
+      gpred.push_back({find(v), u});
+      gsucc.push_back({find(u), v});
+    }
   }
+  const auto runs = [n](std::vector<std::pair<int, NodeId>>& pairs) {
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    std::vector<std::size_t> begin(static_cast<std::size_t>(n) + 1, 0);
+    for (const auto& [grp, node] : pairs) {
+      ++begin[static_cast<std::size_t>(grp) + 1];
+    }
+    for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+    return begin;
+  };
+  const std::vector<std::size_t> pred_begin = runs(gpred);
+  const std::vector<std::size_t> succ_begin = runs(gsucc);
 
+  // Digraph::has_edge is the seen-mark: an edge can be implied by both
+  // endpoints' groups but is added once, at its first implication.
   Digraph out(n);
-  std::set<std::pair<NodeId, NodeId>> added;
   for (int v = 0; v < n; ++v) {
-    const int gv = find(v);
-    for (NodeId p : gpred[static_cast<std::size_t>(gv)]) {
-      if (p == v) continue;
-      if (added.insert({p, v}).second) out.add_edge(p, v);
+    const auto gv = static_cast<std::size_t>(find(v));
+    for (std::size_t k = pred_begin[gv]; k < pred_begin[gv + 1]; ++k) {
+      const NodeId p = gpred[k].second;
+      if (p != v && !out.has_edge(p, v)) out.add_edge(p, v);
     }
-    for (NodeId s : gsucc[static_cast<std::size_t>(gv)]) {
-      if (s == v) continue;
-      if (added.insert({v, s}).second) out.add_edge(v, s);
+    for (std::size_t k = succ_begin[gv]; k < succ_begin[gv + 1]; ++k) {
+      const NodeId s = gsucc[k].second;
+      if (s != v && !out.has_edge(v, s)) out.add_edge(v, s);
     }
   }
   return out;
