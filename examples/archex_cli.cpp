@@ -256,8 +256,12 @@ int cmd_analyze(const Args& a) {
   const auto p = tmpl.node_failure_probs();
 
   TextTable table({"sink", "exact r", "algebra r~", "EP lower", "EP upper"});
-  for (const graph::NodeId sink : tmpl.sinks()) {
-    const double exact = config.failure_probability(sink);
+  const std::vector<graph::NodeId> sinks = tmpl.sinks();
+  const std::vector<double> exact_r =
+      rel::failure_probabilities(g, part.members(0), sinks, p);
+  for (std::size_t k = 0; k < sinks.size(); ++k) {
+    const graph::NodeId sink = sinks[k];
+    const double exact = exact_r[k];
     const double approx = config.approximate_failure(sink).r_tilde;
     rel::FailureBounds bounds;
     try {

@@ -163,26 +163,38 @@ Ref BddManager::restrict_step(Ref f, int index, bool value,
 
 double BddManager::prob_false(Ref f,
                               const std::vector<double>& p_false) const {
-  ARCHEX_REQUIRE(f < nodes_.size(), "foreign Ref passed to prob_false()");
+  return prob_false(std::vector<Ref>{f}, p_false).front();
+}
+
+std::vector<double> BddManager::prob_false(
+    const std::vector<Ref>& roots, const std::vector<double>& p_false) const {
   ARCHEX_REQUIRE(p_false.size() == static_cast<std::size_t>(num_vars_),
                  "probability vector must cover every variable");
   for (double p : p_false) {
     ARCHEX_REQUIRE(p >= 0.0 && p <= 1.0,
                    "variable probabilities must lie in [0, 1]");
   }
-  if (f == kFalse) return 1.0;
-  if (f == kTrue) return 0.0;
+  Ref top = kTrue;
+  for (const Ref f : roots) {
+    ARCHEX_REQUIRE(f < nodes_.size(), "foreign Ref passed to prob_false()");
+    top = std::max(top, f);
+  }
   // Children always precede parents in the arena, so one forward sweep is a
-  // complete memoization of P[node = 0] over the shared DAG.
-  std::vector<double> value(nodes_.size());
+  // complete memoization of P[node = 0] over the shared DAG. A node's value
+  // reads only its own sub-DAG, so it does not depend on which other roots
+  // share the sweep.
+  std::vector<double> value(static_cast<std::size_t>(top) + 1);
   value[kFalse] = 1.0;
   value[kTrue] = 0.0;
-  for (Ref ref = 2; ref <= f; ++ref) {
+  for (Ref ref = 2; ref <= top; ++ref) {
     const Node& node = nodes_[ref];
     const double pv = p_false[static_cast<std::size_t>(node.var)];
     value[ref] = pv * value[node.low] + (1.0 - pv) * value[node.high];
   }
-  return value[f];
+  std::vector<double> out;
+  out.reserve(roots.size());
+  for (const Ref f : roots) out.push_back(value[f]);
+  return out;
 }
 
 std::size_t BddManager::num_nodes(Ref f) const {

@@ -116,6 +116,11 @@ class BddManager {
   [[nodiscard]] double prob_false(Ref f,
                                   const std::vector<double>& p_false) const;
 
+  /// P[f = 0] of every root in `roots` from one shared sweep; entry k is
+  /// bitwise equal to prob_false(roots[k], p_false).
+  [[nodiscard]] std::vector<double> prob_false(
+      const std::vector<Ref>& roots, const std::vector<double>& p_false) const;
+
   /// Structure accessors (terminals have var() == num_vars()).
   [[nodiscard]] bool is_terminal(Ref f) const { return f <= kTrue; }
   [[nodiscard]] int var_of(Ref f) const { return nodes_[f].var; }

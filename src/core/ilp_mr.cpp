@@ -186,27 +186,6 @@ class ConstraintLearner {
   std::map<std::pair<NodeId, TypeId>, int> enforced_;
 };
 
-/// RELANALYSIS: exact worst-sink failure, also reporting which sink is worst.
-std::pair<double, NodeId> worst_sink_failure(const Configuration& config,
-                                             rel::ExactMethod method,
-                                             const rel::EvalContext& ctx) {
-  const Template& tmpl = config.architecture_template();
-  const graph::Digraph g = config.analysis_graph();
-  const auto p = tmpl.node_failure_probs();
-  const auto part = tmpl.partition();
-  double worst = -1.0;
-  NodeId worst_sink = -1;
-  for (NodeId sink : tmpl.sinks()) {
-    const double r =
-        rel::failure_probability(g, part.members(0), sink, p, ctx, method);
-    if (r > worst) {
-      worst = r;
-      worst_sink = sink;
-    }
-  }
-  return {worst, worst_sink};
-}
-
 }  // namespace
 
 IlpMrReport run_ilp_mr(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
@@ -285,9 +264,12 @@ IlpMrReport run_ilp_mr(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
 
     Configuration config = ilp.extract(result);
 
+    // RELANALYSIS: exact worst-sink failure, and which sink is worst.
     analysis_watch.start();
-    const auto [failure, worst_sink] =
-        worst_sink_failure(config, options.method, ctx);
+    const Template& tmpl = config.architecture_template();
+    const auto [failure, worst_sink] = rel::worst_sink_failure(
+        config.analysis_graph(), tmpl.sources(), tmpl.sinks(),
+        tmpl.node_failure_probs(), ctx, options.method);
     analysis_watch.stop();
 
     MrIteration log;

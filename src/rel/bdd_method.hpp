@@ -83,4 +83,18 @@ struct BddEvalStats {
     std::optional<std::chrono::steady_clock::time_point> deadline =
         std::nullopt);
 
+/// Exact failure of every sink in `sinks` (entry k for sinks[k]) from one
+/// compilation: the fixed point is solved once over U, the union of the
+/// sinks' relevant sets, under the kAuto order of U, and each sink's value
+/// is read off the shared manager. Every entry is bitwise equal to
+/// bdd_failure_probability(g, sources, sinks[k], p) with kAuto: the order
+/// of U restricted to a sink's relevant set is that set's own order
+/// (DESIGN.md §4d), except when U is cyclic and the sink's set is not —
+/// such a sink is compiled alone.
+[[nodiscard]] std::vector<double> bdd_failure_probabilities(
+    const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
+    const std::vector<graph::NodeId>& sinks, const std::vector<double>& p,
+    std::optional<std::chrono::steady_clock::time_point> deadline =
+        std::nullopt);
+
 }  // namespace archex::rel

@@ -441,47 +441,67 @@ double run_factoring(const Digraph& g, const std::vector<NodeId>& sources,
   return factoring.run();
 }
 
-/// Canonical whole-problem key for kBdd's graph-level memoization: all
-/// nodes live, perfectly reliable nodes carrying 0.0, edges in the sorted
+/// Canonical whole-problem key for kBdd's graph-level memoization, built
+/// once per graph and re-aimed at each sink through `key.sink`: all nodes
+/// live, perfectly reliable nodes carrying 0.0, edges in the sorted
 /// adjacency order. This coincides with the factoring engine's *top-level*
 /// key (p == 0 nodes are forced Up there and also carry 0.0), so a cache
 /// shared across methods serves whole-graph hits to either — both values
 /// are exact; which bit pattern is resident is first-writer-wins
 /// (see the determinism contract in DESIGN.md).
 EvalKey make_whole_graph_key(const Digraph& g,
-                             const std::vector<NodeId>& sources, NodeId sink,
+                             const std::vector<NodeId>& sources,
                              const std::vector<double>& p) {
   EvalKey key;
   key.probs = p;
+  key.edges.reserve(static_cast<std::size_t>(g.num_edges()));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    std::vector<NodeId> succ = g.successors(u);
-    std::sort(succ.begin(), succ.end());
-    for (NodeId v : succ) key.edges.push_back({u, v});
+    const std::size_t first = key.edges.size();
+    for (NodeId v : g.successors(u)) key.edges.push_back({u, v});
+    std::sort(key.edges.begin() + static_cast<std::ptrdiff_t>(first),
+              key.edges.end());
   }
   std::vector<NodeId> ordered = sources;
   std::sort(ordered.begin(), ordered.end());
   ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
   key.sources.assign(ordered.begin(), ordered.end());
-  key.sink = sink;
   return key;
 }
 
-/// kBdd dispatch: the EvalCache memoizes whole-graph results (synthesis
-/// loops re-analyze near-identical iterates) while the manager's computed
-/// table handles intra-call sharing.
-double run_bdd(const Digraph& g, const std::vector<NodeId>& sources,
-               NodeId sink, const std::vector<double>& p,
-               const EvalContext& ctx) {
+/// kBdd dispatch: the EvalCache memoizes whole-graph results per sink
+/// (synthesis loops re-analyze near-identical iterates) while the manager's
+/// computed table handles intra-call sharing. Every sink is looked up
+/// first; the missing ones are compiled together, once.
+std::vector<double> run_bdd(const Digraph& g,
+                            const std::vector<NodeId>& sources,
+                            const std::vector<NodeId>& sinks,
+                            const std::vector<double>& p,
+                            const EvalContext& ctx) {
   if (ctx.cache == nullptr) {
-    return bdd_failure_probability(g, sources, sink, p, BddOrdering::kAuto,
-                                   nullptr, ctx.deadline);
+    return bdd_failure_probabilities(g, sources, sinks, p, ctx.deadline);
   }
-  const EvalKey key = make_whole_graph_key(g, sources, sink, p);
-  if (const auto hit = ctx.cache->lookup(key)) return *hit;
-  const double value = bdd_failure_probability(
-      g, sources, sink, p, BddOrdering::kAuto, nullptr, ctx.deadline);
-  ctx.cache->store(key, value);
-  return value;
+  EvalKey key = make_whole_graph_key(g, sources, p);
+  std::vector<double> failures(sinks.size(), 1.0);
+  std::vector<std::size_t> missing;
+  std::vector<NodeId> missing_sinks;
+  for (std::size_t k = 0; k < sinks.size(); ++k) {
+    key.sink = sinks[k];
+    if (const auto hit = ctx.cache->lookup(key)) {
+      failures[k] = *hit;
+    } else {
+      missing.push_back(k);
+      missing_sinks.push_back(sinks[k]);
+    }
+  }
+  if (missing.empty()) return failures;
+  const std::vector<double> values =
+      bdd_failure_probabilities(g, sources, missing_sinks, p, ctx.deadline);
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    failures[missing[i]] = values[i];
+    key.sink = missing_sinks[i];
+    ctx.cache->store(key, values[i]);
+  }
+  return failures;
 }
 
 }  // namespace
@@ -506,7 +526,7 @@ double failure_probability(const Digraph& g,
       return run_factoring(g, sources, sink, p, ctx);
     }
     case ExactMethod::kBdd:
-      return run_bdd(g, sources, sink, p, ctx);
+      return run_bdd(g, sources, {sink}, p, ctx).front();
   }
   throw InternalError("unknown exact method");
 }
@@ -558,17 +578,49 @@ double failure_probability(const Digraph& g, const graph::Partition& partition,
                              max_paths);
 }
 
+std::vector<double> failure_probabilities(const Digraph& g,
+                                          const std::vector<NodeId>& sources,
+                                          const std::vector<NodeId>& sinks,
+                                          const std::vector<double>& p,
+                                          const EvalContext& ctx,
+                                          ExactMethod method) {
+  if (method != ExactMethod::kBdd) {
+    std::vector<double> failures;
+    failures.reserve(sinks.size());
+    for (NodeId sink : sinks) {
+      failures.push_back(
+          failure_probability(g, sources, sink, p, ctx, method));
+    }
+    return failures;
+  }
+  for (NodeId sink : sinks) validate(g, sources, sink, p);
+  if (sources.empty()) return std::vector<double>(sinks.size(), 1.0);
+  return run_bdd(g, sources, sinks, p, ctx);
+}
+
+WorstSink worst_sink_failure(const Digraph& g,
+                             const std::vector<NodeId>& sources,
+                             const std::vector<NodeId>& sinks,
+                             const std::vector<double>& p,
+                             const EvalContext& ctx, ExactMethod method) {
+  const std::vector<double> failures =
+      failure_probabilities(g, sources, sinks, p, ctx, method);
+  WorstSink worst;
+  for (std::size_t k = 0; k < sinks.size(); ++k) {
+    if (worst.sink < 0 || failures[k] > worst.failure) {
+      worst = {failures[k], sinks[k]};
+    }
+  }
+  return worst;
+}
+
 double worst_failure_probability(const Digraph& g,
                                  const graph::Partition& partition,
                                  const std::vector<graph::NodeId>& sinks,
                                  const std::vector<double>& p,
                                  ExactMethod method, const EvalContext& ctx) {
-  double worst = 0.0;
-  for (graph::NodeId sink : sinks) {
-    worst = std::max(worst, failure_probability(g, partition.members(0), sink,
-                                                p, ctx, method));
-  }
-  return worst;
+  return worst_sink_failure(g, partition.members(0), sinks, p, ctx, method)
+      .failure;
 }
 
 }  // namespace archex::rel

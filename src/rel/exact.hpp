@@ -137,8 +137,33 @@ struct EvalContext {
 [[nodiscard]] std::optional<ExactMethod> parse_exact_method(
     const std::string& name);
 
+/// Exact failure of every sink in `sinks` (entry k for sinks[k]), with the
+/// same values, cache keys and cache traffic as one failure_probability
+/// call per sink. kBdd looks every sink up in `ctx.cache` first and compiles
+/// the missing ones together (bdd_failure_probabilities); the other methods
+/// evaluate sink by sink.
+[[nodiscard]] std::vector<double> failure_probabilities(
+    const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
+    const std::vector<graph::NodeId>& sinks, const std::vector<double>& p,
+    const EvalContext& ctx = {}, ExactMethod method = kDefaultExactMethod);
+
+/// The worst sink and its failure; the first of equally bad sinks wins.
+/// `sink` is -1 (failure 0) when `sinks` is empty.
+struct WorstSink {
+  double failure = 0.0;
+  graph::NodeId sink = -1;
+};
+
+/// RELANALYSIS of Alg. 1: the worst case over the sinks of
+/// failure_probabilities.
+[[nodiscard]] WorstSink worst_sink_failure(
+    const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
+    const std::vector<graph::NodeId>& sinks, const std::vector<double>& p,
+    const EvalContext& ctx = {}, ExactMethod method = kDefaultExactMethod);
+
 /// Worst-case failure probability over several sinks (the requirement "r is
-/// the worst case failure probability over a set of nodes of interest").
+/// the worst case failure probability over a set of nodes of interest"),
+/// sourced from type 0 (Π_1).
 [[nodiscard]] double worst_failure_probability(
     const graph::Digraph& g, const graph::Partition& partition,
     const std::vector<graph::NodeId>& sinks, const std::vector<double>& p,
