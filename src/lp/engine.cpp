@@ -234,11 +234,14 @@ class EngineImpl {
     if (m_ == 0) return solve_unconstrained();
 
     reset_working_state();
-    if (!initial_basis()) {
+    initial_basis();
+    const int num_artificials = install_artificials();
+    // One factorization per scratch solve, of the final (diagonal) starting
+    // basis: logicals patched with any artificials.
+    if (!use_dense_ && !refactorize()) {
       out.status = SolveStatus::kNumericFailure;
       return out;
     }
-    const int num_artificials = install_artificials();
 
     long phase1_pivots = 0;
     if (num_artificials > 0) {
@@ -350,7 +353,15 @@ class EngineImpl {
     }
     recompute_basics();
 
-    const SolveStatus status = dual_iterate();
+    bool flipped = false;
+    SolveStatus status = dual_iterate(flipped);
+    if (status == SolveStatus::kOptimal && flipped && !dual_feasible()) {
+      // A bound flip takes no dual step, so the dual loop can end primal
+      // feasible at a basis whose reduced costs have the wrong sign: its
+      // objective overstates the minimum. Finish with primal phase 2 from
+      // this primal-feasible basis.
+      status = primal_iterate(/*phase1=*/false);
+    }
     if (status == SolveStatus::kOptimal ||
         status == SolveStatus::kInfeasible) {
       ++stats_.dual_reopts;
@@ -470,7 +481,10 @@ class EngineImpl {
     return out;
   }
 
-  [[nodiscard]] bool initial_basis() {
+  /// All-logical starting basis: nonbasic structurals on their nearer
+  /// bound, each logical basic at its row activity (B = -I, so x_s = A_i x).
+  /// The sparse factors are built by the caller once artificials are in.
+  void initial_basis() {
     x_.assign(static_cast<std::size_t>(total_), 0.0);
     state_.assign(static_cast<std::size_t>(total_), VarState::kAtLower);
     for (int j = 0; j < n_; ++j) {
@@ -496,15 +510,25 @@ class EngineImpl {
       state_[idx(s)] = VarState::kBasic;
     }
     duals_valid_ = false;
+    // Row activity in recompute_basics()'s summation order; B = -I makes its
+    // solve an exact negation, so the values are the ones it would produce.
+    std::vector<double>& activity = work_;
+    activity.assign(static_cast<std::size_t>(m_), 0.0);
+    for (int j = 0; j < n_; ++j) {
+      const double v = x_[idx(j)];
+      if (v == 0.0) continue;
+      for (const auto& [row, coef] : cols_[idx(j)]) {
+        activity[static_cast<std::size_t>(row)] += coef * v;
+      }
+    }
+    for (int i = 0; i < m_; ++i) {
+      x_[idx(n_ + i)] = activity[static_cast<std::size_t>(i)];
+    }
     if (use_dense_) {
       binv_.assign(
           static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_), 0.0);
       for (int i = 0; i < m_; ++i) binv(i, i) = -1.0;  // B = -I (all logicals)
-      recompute_basics();
-      return true;
     }
-    // Sparse path: factorize the (diagonal) all-logical basis.
-    return refactorize();
   }
 
   int install_artificials() {
@@ -540,15 +564,6 @@ class EngineImpl {
       duals_valid_ = false;
       ++added;
       artificials_.push_back(t);
-    }
-    // The sparse factors still describe the all-logical basis; refresh them
-    // for the (still diagonal) artificial-patched one.
-    if (!use_dense_ && added > 0) {
-      if (!refactorize()) {
-        // Diagonal basis: factorization cannot fail unless the data is
-        // broken; treat like the dense path's impossibility.
-        ARCHEX_ASSERT(false, "artificial basis refactorization failed");
-      }
     }
     return added;
   }
@@ -831,7 +846,29 @@ class EngineImpl {
 
   // ---- dual simplex re-optimization -----------------------------------------
 
-  SolveStatus dual_iterate() {
+  /// True when no nonbasic column's reduced cost (under the costs the
+  /// pivots use) has the sign that would let the objective improve.
+  [[nodiscard]] bool dual_feasible() {
+    const std::vector<double>& y = btran_cost(/*phase1=*/false);
+    for (int j = 0; j < total_; ++j) {
+      const VarState st = state_[idx(j)];
+      if (st == VarState::kBasic) continue;
+      if (lo_[idx(j)] == up_[idx(j)]) continue;  // fixed: any sign is fine
+      double d = effective_cost(j, /*phase1=*/false);
+      for (const auto& [row, coef] : cols_[idx(j)]) {
+        d -= y[static_cast<std::size_t>(row)] * coef;
+      }
+      if ((st != VarState::kAtUpper && d < -opt_.tol) ||
+          (st != VarState::kAtLower && d > opt_.tol)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Dual simplex from a dual-feasible basis. Sets `flipped` when a bound
+  /// flip replaced a pivot (see reoptimize()).
+  SolveStatus dual_iterate(bool& flipped) {
     int since_refactor = 0;
     const long dual_cap = 100 + m_ / 2;
     long local_iters = 0;
@@ -977,6 +1014,7 @@ class EngineImpl {
             (delta > 0.0) ? VarState::kAtUpper : VarState::kAtLower;
         x_[idx(entering)] =
             (delta > 0.0) ? up_[idx(entering)] : lo_[idx(entering)];
+        flipped = true;
         ++iterations_;
         continue;
       }

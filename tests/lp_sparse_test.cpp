@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -604,6 +605,125 @@ TEST(SparseEngine, PerturbedSolveWithBasicArtificialIsRepeatable) {
   }
   EXPECT_GT(nodes[0], 0);
   EXPECT_EQ(nodes[0], nodes[1]);
+}
+
+// ---- warm re-optimization soundness ------------------------------------------
+//
+// A warm reoptimize() must report the same optimum as a scratch solve of the
+// same bounds. The dual loop's bound flips move a column to its other bound
+// without a dual step; an "optimal" basis reached that way could keep a
+// reduced cost of the wrong sign and overstate the minimum, which makes
+// branch and bound prune on a bound the LP does not have.
+
+/// Scratch solve of `p` under the bounds `lo`/`up`.
+Solution scratch_solve(const Problem& p, const std::vector<double>& lo,
+                       const std::vector<double>& up, double& slack) {
+  SimplexEngine cold(p);
+  for (int k = 0; k < p.num_variables(); ++k) {
+    cold.set_variable_bounds(k, lo[static_cast<std::size_t>(k)],
+                             up[static_cast<std::size_t>(k)]);
+  }
+  Solution out = cold.solve_from_scratch();
+  slack = cold.bound_slack();
+  return out;
+}
+
+/// Depth-first branch and bound on the 0/1 columns of `p` with one warm
+/// engine (branch down or up at random on a fractional column, backtrack by
+/// restoring bounds), checking every warm optimum against a scratch solve
+/// of the same bounds. Returns the number of warm optima checked.
+int expect_warm_matches_scratch(const Problem& p, Rng& rng, int max_nodes,
+                                const char* what) {
+  SimplexEngine warm(p);
+  const int n = p.num_variables();
+  std::vector<double> lo(static_cast<std::size_t>(n));
+  std::vector<double> up(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    lo[static_cast<std::size_t>(j)] = p.col_lo(j);
+    up[static_cast<std::size_t>(j)] = p.col_up(j);
+  }
+  struct Change {
+    int var;
+    double lo, up;  // bounds to restore on backtrack
+    double other_lo, other_up;  // the sibling branch, once
+    bool sibling_done;
+  };
+  std::vector<Change> path;
+  Solution s = warm.solve_from_scratch();
+  int checked = 0;
+  for (int node = 0; node < max_nodes; ++node) {
+    int branch = -1;
+    if (s.status == SolveStatus::kOptimal) {
+      for (int j = 0; j < n && branch < 0; ++j) {
+        const double v = s.x[static_cast<std::size_t>(j)];
+        if (p.col_lo(j) == 0.0 && p.col_up(j) == 1.0 && v > 1e-6 &&
+            v < 1.0 - 1e-6 && rng.next_bernoulli(0.5)) {
+          branch = j;
+        }
+      }
+    }
+    if (branch >= 0) {
+      const auto b = static_cast<std::size_t>(branch);
+      const bool down = rng.next_bernoulli(0.5);
+      path.push_back({branch, lo[b], up[b], down ? 1.0 : 0.0,
+                      down ? 1.0 : 0.0, false});
+      lo[b] = up[b] = down ? 0.0 : 1.0;
+      warm.set_variable_bounds(branch, lo[b], up[b]);
+    } else {
+      // Leaf: backtrack to the deepest change with an unexplored sibling.
+      while (!path.empty() && path.back().sibling_done) {
+        const Change c = path.back();
+        path.pop_back();
+        lo[static_cast<std::size_t>(c.var)] = c.lo;
+        up[static_cast<std::size_t>(c.var)] = c.up;
+        warm.set_variable_bounds(c.var, c.lo, c.up);
+      }
+      if (path.empty()) break;
+      Change& c = path.back();
+      c.sibling_done = true;
+      lo[static_cast<std::size_t>(c.var)] = c.other_lo;
+      up[static_cast<std::size_t>(c.var)] = c.other_up;
+      warm.set_variable_bounds(c.var, c.other_lo, c.other_up);
+    }
+    s = warm.reoptimize();
+    double slack = 0.0;
+    const Solution cs = scratch_solve(p, lo, up, slack);
+    if (s.status == SolveStatus::kInfeasible ||
+        cs.status == SolveStatus::kInfeasible) {
+      EXPECT_EQ(s.status, cs.status) << what << " node " << node;
+    }
+    if (s.status != SolveStatus::kOptimal ||
+        cs.status != SolveStatus::kOptimal) {
+      continue;
+    }
+    slack += warm.bound_slack();
+    EXPECT_NEAR(s.objective, cs.objective,
+                1e-6 * (1.0 + std::abs(cs.objective)) + slack)
+        << what << " node " << node;
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(WarmReoptimize, MatchesScratchOnIlpArRelaxation) {
+  // The ILP-AR encoding of EPS g2: one of these dives reaches a dual
+  // optimum that bound flips left dual infeasible (g1's root optimum
+  // leaves too little to branch on).
+  eps::EpsSpec spec;
+  spec.num_generators = 2;
+  const eps::EpsTemplate eps = eps::make_eps_template(spec);
+  core::ArchitectureIlp ilp = eps::make_eps_ilp(eps);
+  core::IlpArOptions options;
+  options.target_failure = 1e-3;
+  core::encode_ilp_ar(ilp, options);
+  const Problem p = ilp.model().to_lp();
+  int checked = 0;
+  for (int seq = 0; seq < 8; ++seq) {
+    Rng rng(2000 + 17 * static_cast<std::uint64_t>(seq) + 1);
+    const std::string what = "dive " + std::to_string(seq);
+    checked += expect_warm_matches_scratch(p, rng, 40, what.c_str());
+  }
+  EXPECT_GT(checked, 100);
 }
 
 }  // namespace
