@@ -9,8 +9,8 @@
 // scaling): the same shape must appear — a single-path architecture around
 // rho, a large k >= 2 jump from ESTPATH, then at most a couple of
 // fine-tuning iterations to land under r*.
-// `--method=<factoring|inclusion-exclusion|series-parallel|bdd>` selects the
-// exact analyzer RELANALYSIS runs with (default bdd); every method is
+// `--method=<factoring|bdd>` selects the
+// exact analyzer RELANALYSIS runs with (default bdd); both methods are
 // exact, so the iteration trace must be method-independent up to the last
 // few ulps of r.
 #include <cstdio>
@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--method=", 9) == 0) {
       const auto parsed = rel::parse_exact_method(argv[i] + 9);
       if (!parsed) {
-        std::fprintf(stderr, "unknown --method '%s' (want factoring, "
-                     "inclusion-exclusion, series-parallel, or bdd)\n",
+        std::fprintf(stderr, "unknown --method '%s' (want factoring or bdd)\n",
                      argv[i] + 9);
         return 1;
       }

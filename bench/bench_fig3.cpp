@@ -12,7 +12,7 @@
 // Here: 11-node template (g = 2; ILP-AR's monolithic model is the expensive
 // one — see Table III) with r* in {2e-3, 2e-6, 2e-7}; the 2e-7 step forces
 // the maximum redundancy this template offers, playing the role of Fig. 3c.
-// `--method=<factoring|inclusion-exclusion|series-parallel|bdd>` selects the
+// `--method=<factoring|bdd>` selects the
 // exact analyzer the "r (exact)" column is computed with (default bdd).
 #include <cstdio>
 #include <cstring>
@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--method=", 9) == 0) {
       const auto parsed = rel::parse_exact_method(argv[i] + 9);
       if (!parsed) {
-        std::fprintf(stderr, "unknown --method '%s' (want factoring, "
-                     "inclusion-exclusion, series-parallel, or bdd)\n",
+        std::fprintf(stderr, "unknown --method '%s' (want factoring or bdd)\n",
                      argv[i] + 9);
         return 1;
       }

@@ -1,18 +1,16 @@
 // Ablation: the two exact K-terminal reliability analyzers. Factoring
-// (pivot decomposition with reachability pruning) vs. inclusion–exclusion
-// over minimal path sets, on EPS-shaped parallel-chain architectures with a
-// growing number of redundant paths. Inclusion–exclusion is 2^f in the path
-// count f; factoring rides the graph structure. google-benchmark timings.
+// (pivot decomposition with reachability pruning, the reference) vs. the
+// ROBDD method (the default), on EPS-shaped parallel-chain architectures
+// with a growing number of redundant paths, plus the Monte-Carlo
+// estimators. google-benchmark timings.
 //
 // Interpretation notes (see EXPERIMENTS.md):
 //  * factoring grows ~3^k in the chain count k on fully parallel systems —
 //    exact analysis is exponential, which is the paper's very motivation
 //    for calling RELANALYSIS "only when needed";
-//  * inclusion–exclusion is faster here but its alternating sum suffers
-//    catastrophic cancellation once the true failure probability falls
-//    below ~1e-14 with many paths (it can even go negative) — factoring
-//    and BDD (the default method) sum only non-negative terms and keep
-//    full relative precision, which the report checks as rel_err.
+//  * BDD rides the graph width instead; both methods sum only non-negative
+//    terms and keep full relative precision far below 1e-14, which the
+//    report checks as rel_err.
 //
 // `--threads N` (default 1) sizes the worker pool used by the *Parallel/
 // *Accelerated variants and the headline report printed before the
@@ -175,23 +173,6 @@ void BM_BddCached(benchmark::State& state) {
   state.counters["hit_rate"] = cache.stats().hit_rate();
 }
 
-void BM_InclusionExclusion(benchmark::State& state) {
-  const ParallelChains arch(static_cast<int>(state.range(0)),
-                            state.range(1) != 0);
-  double r = 0.0;
-  for (auto _ : state) {
-    try {
-      r = rel::failure_probability(arch.g, arch.sources, arch.sink, arch.p,
-                                   rel::ExactMethod::kInclusionExclusion);
-    } catch (const archex::Error&) {
-      state.SkipWithError("path count exceeds inclusion-exclusion limit");
-      return;
-    }
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["failure"] = r;
-}
-
 void BM_MonteCarlo100k(benchmark::State& state) {
   const ParallelChains arch(static_cast<int>(state.range(0)),
                             state.range(1) != 0);
@@ -249,10 +230,6 @@ BENCHMARK(BM_Bdd)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_BddCached)
     ->Args({8, 0})->Args({4, 1})->Args({6, 1})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_InclusionExclusion)
-    ->Args({2, 0})->Args({4, 0})->Args({8, 0})->Args({16, 0})
-    ->Args({2, 1})->Args({3, 1})->Args({4, 1})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MonteCarlo100k)
     ->Args({4, 0})->Args({4, 1})

@@ -81,8 +81,6 @@ json::Value run_to_json(const RunRecord& run) {
   o["presolve_rows_removed"] = count(run.result.presolve_rows_removed);
   o["presolve_bound_tightenings"] =
       count(run.result.presolve_bound_tightenings);
-  o["cuts_added"] = count(run.result.cuts_added);
-  o["cut_rounds"] = count(run.result.cut_rounds);
   o["rc_fixings"] = count(run.result.rc_fixings);
   o["pseudocost_branches"] = count(run.result.pseudocost_branches);
   o["nogoods_learned"] = count(run.result.nogoods_learned);
@@ -251,116 +249,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cut-and-branch ablation on the hardest ILP-MR workload in the suite:
-  // eps-base-g3 driven through the full LEARNCONS loop (the per-iteration
-  // models grow learned reliability rows, which is where cutting planes and
-  // pseudocost history earn their keep). All four configs run single-core so
-  // the node counts are comparable (see EXPERIMENTS.md: node counts, not
-  // wall clock, are the honest cross-config metric — wall clock also moves
-  // with the LP cost per node).
-  std::puts("\n=== Cut-and-branch ablation: ILP-MR LEARNCONS on eps-base-g3 ===\n");
-  json::Array cuts_json;
-  {
-    struct Config {
-      std::string name;
-      bool cuts = false;
-      bool pseudocost = false;
-      bool rc_fixing = false;
-    };
-    const std::vector<Config> configs = {
-        {"baseline", false, false, false},
-        {"cuts", true, false, false},
-        {"pseudocost", false, true, false},
-        {"full", true, true, true},
-    };
-
-    eps::EpsSpec spec;
-    spec.num_generators = 3;
-    const eps::EpsTemplate eps = eps::make_eps_template(spec);
-    rel::EvalCache cache;  // reliability analysis is identical across configs
-
-    TextTable cuts_table({"config", "status", "iters", "solver (s)", "nodes",
-                          "cuts", "rc-fix", "pc-branch", "cost"});
-    long baseline_nodes = 0, full_nodes = 0;
-    for (const Config& cfg : configs) {
-      core::ArchitectureIlp ilp = eps::make_eps_ilp(eps);
-      ilp::BranchAndBoundOptions bopt;
-      bopt.time_limit_seconds = 120.0;
-      bopt.cuts = cfg.cuts;
-      bopt.pseudocost = cfg.pseudocost;
-      bopt.rc_fixing = cfg.rc_fixing;
-      ilp::BranchAndBoundSolver solver(bopt);
-      core::IlpMrOptions options;
-      options.target_failure = 2e-10;
-      options.accept_incumbent = true;
-      options.max_iterations = 30;
-      options.cache = &cache;
-      const core::IlpMrReport rep = core::run_ilp_mr(ilp, solver, options);
-
-      if (cfg.name == "baseline") baseline_nodes = rep.solver_nodes;
-      if (cfg.name == "full") full_nodes = rep.solver_nodes;
-      cuts_table.add_row(
-          {cfg.name, to_string(rep.status),
-           std::to_string(rep.num_iterations()),
-           format_fixed(rep.solver_seconds, 3),
-           format_count(rep.solver_nodes),
-           format_count(rep.solver_cuts_added),
-           format_count(rep.solver_rc_fixings),
-           format_count(rep.solver_pseudocost_branches),
-           rep.configuration
-               ? format_fixed(rep.configuration->total_cost(), 0)
-               : "-"});
-      std::fputs(cuts_table.to_string().c_str(), stdout);
-      std::fflush(stdout);
-      std::puts("");
-
-      json::Object o;
-      o["config"] = cfg.name;
-      o["cuts"] = cfg.cuts;
-      o["pseudocost"] = cfg.pseudocost;
-      o["rc_fixing"] = cfg.rc_fixing;
-      o["status"] = to_string(rep.status);
-      o["iterations"] = rep.num_iterations();
-      o["solver_seconds"] = rep.solver_seconds;
-      o["budget_capped"] = rep.solver_limit_hits > 0;
-      o["solver_limit_hits"] = static_cast<long long>(rep.solver_limit_hits);
-      o["analysis_seconds"] = rep.analysis_seconds;
-      o["nodes"] = static_cast<long long>(rep.solver_nodes);
-      o["nodes_pruned"] = static_cast<long long>(rep.solver_nodes_pruned);
-      o["cuts_added"] = static_cast<long long>(rep.solver_cuts_added);
-      o["cut_rounds"] = static_cast<long long>(rep.solver_cut_rounds);
-      o["rc_fixings"] = static_cast<long long>(rep.solver_rc_fixings);
-      o["pseudocost_branches"] =
-          static_cast<long long>(rep.solver_pseudocost_branches);
-      if (rep.configuration) o["cost"] = rep.configuration->total_cost();
-      cuts_json.push_back(std::move(o));
-    }
-
-    const double node_reduction =
-        full_nodes > 0 ? static_cast<double>(baseline_nodes) /
-                             static_cast<double>(full_nodes)
-                       : 0.0;
-    std::printf("node reduction, full vs baseline: %.2fx (%ld -> %ld)\n",
-                node_reduction, baseline_nodes, full_nodes);
-
-    json::Object cuts_section;
-    cuts_section["instance"] = std::string("eps-base-g3");
-    cuts_section["workload"] = std::string("ilp-mr-learncons");
-    cuts_section["target_failure"] = 2e-10;
-    cuts_section["configs"] = std::move(cuts_json);
-    cuts_section["baseline_nodes"] = static_cast<long long>(baseline_nodes);
-    cuts_section["full_nodes"] = static_cast<long long>(full_nodes);
-    cuts_section["node_reduction_full_vs_baseline"] = node_reduction;
-    if (!bench::write_bench_section(json_path, "cuts",
-                                    json::Value(std::move(cuts_section)))) {
-      std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (section \"cuts\")\n", json_path.c_str());
-  }
-
-  // Conflict-learning ablation (DESIGN.md §4g). Two workloads, same honest
-  // convention as the cuts section: eps-base-g3 ILP-MR runs into the
+  // Conflict-learning ablation (DESIGN.md §4g). Two workloads, reported
+  // under one convention: eps-base-g3 ILP-MR runs into the
   // per-call budget, so its node counts measure throughput within an equal
   // budget (budget_capped=true in the JSON); eps-base-g2 ILP-MR runs to
   // proven optimality, so its node counts are real tree sizes and the

@@ -6,6 +6,7 @@
 //                      [--time-limit <s>] [--accept-incumbent]
 //                      [--threads <n>] [--plain-bnb] [--no-learning]
 //                      [--dot <out.dot>] [--save <out.json>] [--mps <out.mps>]
+//                      (--plain-bnb: no pseudocost, rc-fixing or learning)
 //   archex_cli analyze (--eps <generators> | --template <file.json>)
 //                      --config <file.json> [--importance] [--cuts]
 //   archex_cli export  (--eps <generators> | --template <file.json>)
@@ -55,8 +56,8 @@ struct Args {
   bool cuts = false;
   double time_limit = 300.0;
   int threads = 0;  // 0 = serial branch & bound
-  /// Disable the solver's cut-and-branch layer (cutting planes, pseudocost
-  /// branching, reduced-cost fixing) for A/B comparisons.
+  /// Disable pseudocost branching, reduced-cost fixing and nogood learning
+  /// for A/B comparisons against the plain depth-first search.
   bool plain_bnb = false;
   /// Conflict-driven nogood learning (DESIGN.md §4g); on by default,
   /// --no-learning turns it off for A/B comparisons.
@@ -72,6 +73,8 @@ struct Args {
       "                     [--threads N] [--plain-bnb] [--no-learning]\n"
       "                     [--accept-incumbent] [--dot F] [--save F] "
       "[--mps F]\n"
+      "                     --plain-bnb turns off pseudocost branching,\n"
+      "                     reduced-cost fixing and nogood learning\n"
       "  archex_cli analyze (--eps N | --template F) --config F\n"
       "                     [--importance] [--cuts]\n"
       "  archex_cli export  (--eps N | --template F) --out F\n",
@@ -171,7 +174,6 @@ int cmd_synth(const Args& a) {
   bopt.threads = a.threads;  // >= 2 enables the work-stealing tree search
   bopt.learning = a.learning;
   if (a.plain_bnb) {
-    bopt.cuts = false;
     bopt.pseudocost = false;
     bopt.rc_fixing = false;
     bopt.learning = false;
@@ -189,9 +191,9 @@ int cmd_synth(const Args& a) {
                 "%.2fs)\n",
                 to_string(rep.status).c_str(), rep.num_iterations(),
                 rep.analysis_seconds, rep.solver_seconds);
-    std::printf("solver: %ld nodes, %ld cuts, %ld rc-fixings, %ld pseudocost "
+    std::printf("solver: %ld nodes, %ld rc-fixings, %ld pseudocost "
                 "branchings\n",
-                rep.solver_nodes, rep.solver_cuts_added, rep.solver_rc_fixings,
+                rep.solver_nodes, rep.solver_rc_fixings,
                 rep.solver_pseudocost_branches);
     if (bopt.learning) {
       std::printf("learning: %ld nogoods (%ld oracle), %ld prunings, "
@@ -212,9 +214,9 @@ int cmd_synth(const Args& a) {
     std::printf("ILP-AR: %s (%d constraints, setup %.2fs, solver %.2fs)\n",
                 to_string(rep.status).c_str(), rep.num_constraints,
                 rep.setup_seconds, rep.solver_seconds);
-    std::printf("solver: %ld nodes, %ld cuts, %ld rc-fixings, %ld pseudocost "
+    std::printf("solver: %ld nodes, %ld rc-fixings, %ld pseudocost "
                 "branchings\n",
-                rep.solver_nodes, rep.solver_cuts_added, rep.solver_rc_fixings,
+                rep.solver_nodes, rep.solver_rc_fixings,
                 rep.solver_pseudocost_branches);
     if (bopt.learning) {
       std::printf("learning: %ld nogoods, %ld prunings, store %ld\n",

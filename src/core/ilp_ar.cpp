@@ -124,8 +124,6 @@ IlpArReport run_ilp_ar(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
   report.solver_nodes = result.nodes_explored;
   report.solver_nodes_pruned = result.nodes_pruned;
   report.solver_steals = result.steal_count;
-  report.solver_cuts_added = result.cuts_added;
-  report.solver_cut_rounds = result.cut_rounds;
   report.solver_rc_fixings = result.rc_fixings;
   report.solver_pseudocost_branches = result.pseudocost_branches;
   report.solver_nogoods_learned = result.nogoods_learned;

@@ -67,10 +67,8 @@ struct IlpArReport {
   /// bound-pruned nodes and pool nodes expanded by a non-donating worker.
   long solver_nodes_pruned = 0;
   long solver_steals = 0;
-  /// Cut-and-branch statistics of the solve (zero when the solver's
-  /// cut/pseudocost/rc-fixing options are off).
-  long solver_cuts_added = 0;
-  long solver_cut_rounds = 0;
+  /// Branching-aid statistics of the solve (zero when the solver's
+  /// pseudocost/rc-fixing options are off).
   long solver_rc_fixings = 0;
   long solver_pseudocost_branches = 0;
   /// Conflict-learning statistics of the solve (zero when the solver's

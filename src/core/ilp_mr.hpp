@@ -112,10 +112,8 @@ struct IlpMrReport {
   /// for serial solvers): bound-pruned nodes and work-stealing pool steals.
   long solver_nodes_pruned = 0;
   long solver_steals = 0;
-  /// Cut-and-branch statistics summed over all SolveILP iterations (zero
-  /// when the solver's cut/pseudocost/rc-fixing options are off).
-  long solver_cuts_added = 0;
-  long solver_cut_rounds = 0;
+  /// Branching-aid statistics summed over all SolveILP iterations (zero
+  /// when the solver's pseudocost/rc-fixing options are off).
   long solver_rc_fixings = 0;
   long solver_pseudocost_branches = 0;
   /// Conflict-learning statistics (zero when learning is off): nogoods

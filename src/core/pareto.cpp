@@ -32,7 +32,6 @@ ParetoFrontier sweep_pareto_frontier(
     IlpArReport report = run_ilp_ar(ilp, solver, ar);
     frontier.solver_nodes += report.solver_nodes;
     frontier.solver_steals += report.solver_steals;
-    frontier.solver_cuts_added += report.solver_cuts_added;
     frontier.solver_rc_fixings += report.solver_rc_fixings;
     frontier.solver_pseudocost_branches += report.solver_pseudocost_branches;
     frontier.solver_nogoods_learned += report.solver_nogoods_learned;

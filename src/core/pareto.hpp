@@ -70,7 +70,6 @@ struct ParetoFrontier {
   // one), for the benches' parallel-efficiency reporting.
   long solver_nodes = 0;
   long solver_steals = 0;
-  long solver_cuts_added = 0;
   long solver_rc_fixings = 0;
   long solver_pseudocost_branches = 0;
   long solver_nogoods_learned = 0;

@@ -29,16 +29,12 @@
 // ordering, incumbent sequence, statistics, solution) for debugging
 // parallel-search discrepancies.
 //
-// The cut-and-branch layer (DESIGN.md §4f) sits on top of both modes:
-// a root separation loop (cover/clique/Gomory cuts, ilp/cutgen.hpp) tightens
-// the relaxation before the tree search; shallow tree nodes separate the
-// globally valid cover/clique families into a shared cut pool that workers
-// sync into their private engines at dive boundaries; branching is ranked by
-// shared pseudocost statistics (ilp/branching.hpp) with a most-fractional
-// fallback; and every incumbent improvement re-derives reduced-cost fixings
-// from the root duals, published as a lock-free prune filter all workers
-// consult. In deterministic mode all of this shared state evolves in the
-// serial preorder, so bit-for-bit reproduction is preserved.
+// Both modes rank branching by shared pseudocost statistics
+// (ilp/branching.hpp) with a most-fractional fallback, and every incumbent
+// improvement re-derives reduced-cost fixings from the root duals, published
+// as a lock-free prune filter all workers consult. In deterministic mode
+// this shared state evolves in the serial preorder, so bit-for-bit
+// reproduction is preserved.
 //
 // The conflict-driven learning layer (DESIGN.md §4g) turns pruned subtrees
 // into reusable knowledge: an infeasible node LP yields a Farkas certificate
@@ -49,24 +45,21 @@
 // variables. Nogoods live in a shared ilp/nogood.hpp store (and optionally
 // persist across solves, see BranchAndBoundSolver::set_nogood_store);
 // workers keep a reduced-column compilation of the store, synced at dive
-// boundaries like the cut pool, and prune any node whose box implies all of
-// a nogood's literals before solving its LP.
+// boundaries, and prune any node whose box implies all of a nogood's
+// literals before solving its LP.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ilp/branching.hpp"
-#include "ilp/cutgen.hpp"
 #include "ilp/nogood.hpp"
 #include "ilp/solver.hpp"
 #include "lp/engine.hpp"
@@ -183,21 +176,9 @@ struct SearchShared {
   std::vector<double> incumbent;  // guarded by incumbent_mutex
   double incumbent_obj = 0.0;     // guarded by incumbent_mutex
 
-  // Integrality flags over the *reduced* problem's columns (for the cut
-  // separator): binary = integral with root box exactly [0, 1].
+  /// Reduced columns that are integral with root box exactly [0, 1] (the
+  /// candidates for reduced-cost fixing).
   std::vector<bool> reduced_binary;
-  std::vector<bool> reduced_integer;
-
-  std::unique_ptr<CutGenerator> cutgen;  // null when cuts are off
-  /// Guards cut_pool + cut_signatures. Root cuts live in pre.reduced (every
-  /// engine gets them at construction); the pool holds only cuts separated
-  /// at tree nodes, which workers sync into their engines at dive
-  /// boundaries (EngineSlot::cuts_synced).
-  std::mutex cut_mutex;
-  std::vector<Cut> cut_pool;
-  std::unordered_set<std::uint64_t> cut_signatures;
-  std::atomic<long> cuts_added{0};
-  std::atomic<long> cut_rounds{0};
 
   std::unique_ptr<PseudocostTable> pseudo;  // null when pseudocost is off
   std::mutex pseudo_mutex;
@@ -253,21 +234,15 @@ struct SearchShared {
     }
     const std::size_t n = static_cast<std::size_t>(pre.reduced.num_variables());
     reduced_binary.assign(n, false);
-    reduced_integer.assign(n, false);
     model_of_reduced.assign(n, -1);
     for (int j = 0; j < m.num_variables(); ++j) {
       const int rj = pre.var_map[static_cast<std::size_t>(j)];
       if (rj >= 0) model_of_reduced[static_cast<std::size_t>(rj)] = j;
       if (!m.is_integral(Var{j})) continue;
       if (rj < 0) continue;
-      reduced_integer[static_cast<std::size_t>(rj)] = true;
       if (pre.reduced.col_lo(rj) == 0.0 && pre.reduced.col_up(rj) == 1.0) {
         reduced_binary[static_cast<std::size_t>(rj)] = true;
       }
-    }
-    if (opt.cuts && !integral.empty() && !pre.infeasible) {
-      cutgen = std::make_unique<CutGenerator>(pre.reduced, reduced_binary,
-                                              reduced_integer);
     }
     if (opt.pseudocost) {
       pseudo = std::make_unique<PseudocostTable>(m.num_variables());
@@ -556,9 +531,6 @@ struct EngineSlot {
   lp::SimplexEngine engine;
   std::vector<BoundChange> applied;
   bool used = false;  // first solve goes from scratch, as in the serial path
-  /// Number of shared-pool cuts already attached to this engine (the pool
-  /// is append-only, so a single cursor suffices).
-  std::size_t cuts_synced = 0;
   /// Private copy of SearchShared::compiled for lock-free per-node checks,
   /// plus the append-only cursor it is synced up to (dive boundaries, and
   /// immediately after this worker's own learns).
@@ -620,29 +592,10 @@ class Worker {
     for (const BoundChange& c : slot_.applied) {
       slot_.engine.set_variable_bounds(c.col, c.lo, c.up);
     }
-    sync_cuts();
     sync_nogoods();
     const BranchOrigin origin{node.pc_var, node.pc_up, node.pc_dist,
                               node.parent_bound};
     recurse(node.depth, origin);
-  }
-
-  /// Attach any shared-pool cuts this engine is missing. In deterministic
-  /// mode the single shared slot is always current, so this is a no-op.
-  void sync_cuts() {
-    if (sh_.cutgen == nullptr) return;
-    const std::lock_guard<std::mutex> lock(sh_.cut_mutex);
-    attach_pool_cuts_locked();
-  }
-
-  int attach_pool_cuts_locked() {
-    int attached = 0;
-    while (slot_.cuts_synced < sh_.cut_pool.size()) {
-      const Cut& cut = sh_.cut_pool[slot_.cuts_synced++];
-      slot_.engine.add_constraint(cut.terms, cut.lo, cut.up);
-      ++attached;
-    }
-    return attached;
   }
 
   /// Copy any compiled nogoods this slot is missing. In deterministic mode
@@ -750,9 +703,9 @@ class Worker {
   /// their damage. Conflicts still wider than max_nogood_literals spend up
   /// to max_nogood_probes LP re-solves testing certificate-supported
   /// literals for redundancy. The result persists across solves: the rows
-  /// the proof uses (model rows, presolve tightenings, cuts, learncons
-  /// rows) are all valid for every integral feasible point of the model,
-  /// and later solves only add to them.
+  /// the proof uses (model rows, presolve tightenings, learncons rows) are
+  /// all valid for every integral feasible point of the model, and later
+  /// solves only add to them.
   void learn_infeasible() {
     if (sh_.nogoods == nullptr || slot_.applied.empty()) return;
     lp::SimplexEngine& engine = slot_.engine;
@@ -907,32 +860,6 @@ class Worker {
     install_nogood(keep, NogoodSource::kDominance);
   }
 
-  /// Separate cover/clique cuts at this node's reduced-space LP point,
-  /// publish fresh ones to the shared pool and attach them — plus any pool
-  /// cuts this engine is missing — to the local engine. Returns the number
-  /// of rows newly attached (pool rows included: they invalidate the basis
-  /// and may cut off the current point, so the caller re-solves on > 0).
-  int separate_node_cuts(const std::vector<double>& xr) {
-    std::vector<Cut> cand = sh_.cutgen->separate_rowwise(xr);
-    const std::lock_guard<std::mutex> lock(sh_.cut_mutex);
-    int attached = attach_pool_cuts_locked();
-    int fresh = 0;
-    for (Cut& cut : cand) {
-      if (fresh >= sh_.opt.max_cuts_per_round) break;
-      if (!sh_.cut_signatures.insert(cut_signature(cut)).second) continue;
-      slot_.engine.add_constraint(cut.terms, cut.lo, cut.up);
-      sh_.cut_pool.push_back(std::move(cut));
-      ++slot_.cuts_synced;  // our own cut is the pool's new tail
-      ++fresh;
-      ++attached;
-    }
-    if (fresh > 0) {
-      sh_.cuts_added.fetch_add(fresh, std::memory_order_relaxed);
-      sh_.cut_rounds.fetch_add(1, std::memory_order_relaxed);
-    }
-    return attached;
-  }
-
   /// Branch-variable selection at a model-space point (pseudocost table
   /// under its mutex when enabled, historical most-fractional otherwise).
   [[nodiscard]] BranchChoice pick(const std::vector<double>& full_x) {
@@ -983,7 +910,7 @@ class Worker {
     // automatic scratch-solve fallback inside the engine). The first solve
     // on an engine has no basis and goes from scratch.
     lp::SimplexEngine& engine = slot_.engine;
-    lp::Solution rel =
+    const lp::Solution rel =
         slot_.used ? engine.reoptimize() : engine.solve_from_scratch();
     slot_.used = true;
     lp_pivots_ += rel.iterations;
@@ -1007,13 +934,12 @@ class Worker {
     // bound by at most bound_slack(); subtract it so pruning stays safe.
     // rel.objective lives in reduced space: add the presolve offset to
     // compare against the incumbent.
-    double bound =
+    const double bound =
         rel.objective + sh_.pre.objective_offset - engine.bound_slack();
 
     // Pseudocost observation: bound degradation relative to the parent per
-    // unit of fractional distance branched away. Recorded off the node's
-    // first LP (before any node cuts), so the statistic is comparable
-    // across nodes and identical in every search mode.
+    // unit of fractional distance branched away, identical in every search
+    // mode.
     if (sh_.pseudo != nullptr && origin.var >= 0 && origin.dist > 1e-12 &&
         origin.parent_bound > -kInfObj) {
       const double per_unit =
@@ -1029,37 +955,8 @@ class Worker {
     }
 
     // Branching and incumbent tests use the model's variable space.
-    std::vector<double> full_x = sh_.pre.postsolve(rel.x);
-    BranchChoice choice = pick(full_x);
-
-    // Node separation: cover/clique cuts are globally valid, so shallow
-    // fractional nodes may tighten their relaxation (and everyone else's,
-    // through the shared pool) before branching.
-    int rounds = 0;
-    while (choice.var >= 0 && sh_.cutgen != nullptr &&
-           depth <= sh_.opt.node_cut_depth && rounds < 2 && !sh_.aborted()) {
-      if (separate_node_cuts(rel.x) == 0) break;
-      ++rounds;
-      // add_constraint invalidates the basis; re-solve from scratch.
-      rel = engine.solve_from_scratch();
-      lp_pivots_ += rel.iterations;
-      if (rel.status == lp::SolveStatus::kInfeasible) return;
-      if (rel.status == lp::SolveStatus::kTimeLimit) {
-        sh_.abort_with(IlpStatus::kTimeLimit);
-        return;
-      }
-      if (rel.status != lp::SolveStatus::kOptimal) {
-        sh_.abort_with(IlpStatus::kNumericFailure);
-        return;
-      }
-      bound = rel.objective + sh_.pre.objective_offset - engine.bound_slack();
-      if (bound >= sh_.prune_threshold()) {
-        ++pruned_;
-        return;
-      }
-      full_x = sh_.pre.postsolve(rel.x);
-      choice = pick(full_x);
-    }
+    const std::vector<double> full_x = sh_.pre.postsolve(rel.x);
+    const BranchChoice choice = pick(full_x);
 
     const int frac = choice.var;
     if (frac < 0) {
@@ -1188,79 +1085,6 @@ void capture_root_info(SearchShared& sh, lp::SimplexEngine& engine) {
   sh.have_root_info = true;
 }
 
-/// Root cut phase, run single-threaded before any engine the search will
-/// keep is built. Separation rounds run against a throwaway probe engine;
-/// when the loop settles, only the cuts *binding* at the final root optimum
-/// are installed into pre.reduced (every kept row raises the root bound the
-/// probe proved — a row slack at the optimum contributes nothing to it and
-/// would only bloat every LU factorization the tree performs). Dropped
-/// cover/clique cuts leave the signature set, so node separation may
-/// rediscover them where they actually bind.
-void run_cut_phase(SearchShared& sh, long& lp_pivots) {
-  lp::SimplexEngine probe(sh.pre.reduced, sh.opt.lp);
-  probe.set_deadline(sh.deadline);
-  lp::Solution rel = probe.solve_from_scratch();
-  lp_pivots += rel.iterations;
-  // Non-optimal roots (infeasible, time limit, numerics) bail with nothing
-  // installed: the tree search re-solves and reports through its usual
-  // status handling.
-  if (rel.status != lp::SolveStatus::kOptimal) return;
-  std::vector<Cut> accepted;
-  std::unordered_set<std::uint64_t> seen;  // round-local dedup
-  long rounds = 0;
-  for (int round = 0; round < sh.opt.max_cut_rounds; ++round) {
-    if (std::chrono::steady_clock::now() >= sh.deadline) break;
-    const std::vector<double> full_x = sh.pre.postsolve(rel.x);
-    if (select_branch_variable(sh.model, sh.integral, sh.opt.int_tol, full_x,
-                               nullptr, 0)
-            .var < 0) {
-      break;  // relaxation already integral: the search will just accept it
-    }
-    std::vector<Cut> cand = sh.cutgen->separate_rowwise(rel.x);
-    std::vector<Cut> gomory =
-        sh.cutgen->separate_gomory(probe, sh.opt.max_cuts_per_round);
-    for (Cut& cut : gomory) cand.push_back(std::move(cut));
-    int fresh = 0;
-    for (Cut& cut : cand) {
-      if (fresh >= sh.opt.max_cuts_per_round) break;
-      if (!seen.insert(cut_signature(cut)).second) continue;
-      probe.add_constraint(cut.terms, cut.lo, cut.up);
-      accepted.push_back(std::move(cut));
-      ++fresh;
-    }
-    if (fresh == 0) break;
-    ++rounds;
-    const double before = rel.objective;
-    rel = probe.solve_from_scratch();
-    lp_pivots += rel.iterations;
-    if (rel.status != lp::SolveStatus::kOptimal) return;
-    // Tailing off: when a whole round of cuts barely moves the bound, more
-    // rounds only pile up rows the tree pays for at every factorization.
-    if (rel.objective - before <
-        1e-4 * std::max(1.0, std::abs(before))) {
-      break;
-    }
-  }
-  // Install the binding subset. rel is the optimum of the fully cut system,
-  // so every accepted cut is satisfied at rel.x; binding means activity at
-  // the finite side within tolerance.
-  long kept = 0;
-  for (Cut& cut : accepted) {
-    double activity = 0.0;
-    for (const lp::Term& t : cut.terms) {
-      activity += t.coef * rel.x[static_cast<std::size_t>(t.var)];
-    }
-    const bool binding = (cut.up < lp::kInf && activity >= cut.up - 1e-6) ||
-                         (cut.lo > -lp::kInf && activity <= cut.lo + 1e-6);
-    if (!binding) continue;
-    sh.pre.reduced.add_constraint(cut.terms, cut.lo, cut.up);
-    sh.cut_signatures.insert(cut_signature(cut));
-    ++kept;
-  }
-  sh.cuts_added.fetch_add(kept, std::memory_order_relaxed);
-  sh.cut_rounds.fetch_add(rounds, std::memory_order_relaxed);
-}
-
 IlpResult run_search(const Model& model, const BranchAndBoundOptions& opt,
                      NogoodStore* store) {
   SearchShared shared(model, opt, store);
@@ -1288,16 +1112,10 @@ IlpResult run_search(const Model& model, const BranchAndBoundOptions& opt,
   // integral column fixed at a fractional value, an unsatisfiable row).
   long root_lp_pivots = 0;
   if (!shared.pre.infeasible) {
-    // The cut phase mutates pre.reduced (kept root cuts become ordinary
-    // rows), so it runs before any engine the search keeps is constructed;
-    // every slot then picks the cuts up for free.
-    if (shared.cutgen != nullptr) {
-      run_cut_phase(shared, root_lp_pivots);
-    }
     slots.push_back(std::make_unique<EngineSlot>(shared.pre.reduced, opt.lp));
     slots[0]->engine.set_deadline(shared.deadline);
     if (opt.rc_fixing && !shared.integral.empty()) {
-      // Solve the (possibly cut-strengthened) root once on slot 0 and
+      // Solve the root once on slot 0 and
       // snapshot its reduced costs; the first tree node then warm-starts
       // off the same basis at zero extra cost.
       const lp::Solution rel = slots[0]->engine.solve_from_scratch();
@@ -1360,8 +1178,6 @@ IlpResult run_search(const Model& model, const BranchAndBoundOptions& opt,
   out.presolve_rows_removed = shared.pre.stats.rows_removed();
   out.presolve_bound_tightenings = shared.pre.stats.bound_tightenings;
   out.lp_pivots += root_lp_pivots;
-  out.cuts_added = shared.cuts_added.load(std::memory_order_relaxed);
-  out.cut_rounds = shared.cut_rounds.load(std::memory_order_relaxed);
   out.rc_fixings = shared.rc_fixed.load(std::memory_order_relaxed);
   out.pseudocost_branches =
       shared.pseudocost_branches.load(std::memory_order_relaxed);

@@ -11,8 +11,9 @@
 //  * kInfeasible — a node LP proved infeasible; the Farkas certificate
 //    (SimplexEngine::farkas_ray) was reduced against the node's branching
 //    decisions to a minimal literal set. The model's constraint set only
-//    grows (cuts, learncons rows), so these stay valid forever: across
-//    restarts, across ILP-MR synthesis iterations, across workers.
+//    grows (learncons and counterexample rows), so these stay valid
+//    forever: across restarts, across ILP-MR synthesis iterations, across
+//    workers.
 //  * kDominance — a node LP was feasible but its bound could not beat the
 //    incumbent. Valid only while the pruning threshold keeps tightening,
 //    i.e. within one solve: purged at the next solve's start.

@@ -70,10 +70,8 @@ struct IlpResult {
   long presolve_rows_removed = 0;
   long presolve_bound_tightenings = 0;
 
-  // Cut-and-branch layer (DESIGN.md §4f; zeros when the corresponding
-  // option is off).
-  long cuts_added = 0;           // cutting planes appended (root + tree)
-  long cut_rounds = 0;           // separation rounds that produced cuts
+  // Branching and bounding aids (zeros when the corresponding option is
+  // off).
   long rc_fixings = 0;           // 0/1 columns fixed by reduced cost
   long pseudocost_branches = 0;  // branchings decided by pseudocost scores
 
@@ -145,25 +143,8 @@ struct BranchAndBoundOptions {
   /// postsolved back to the model's variable space transparently.
   bool presolve = true;
 
-  // ---- cut-and-branch layer (DESIGN.md §4f) --------------------------------
+  // ---- branching and bounding aids ------------------------------------------
 
-  /// Separate cutting planes: knapsack cover and clique cuts at the root
-  /// and at shallow tree nodes (shared across parallel workers through a
-  /// global cut pool), Gomory mixed-integer cuts at the root only (they
-  /// depend on the root bounds). Off by default: on the synthesis
-  /// encodings this repo ships, the added rows cost more in per-node LP
-  /// work and disturbed warm starts than the tightened root bound buys
-  /// (see the `cuts` section of BENCH_solver.json) — enable per run when
-  /// a model has exploitable knapsack/conflict structure.
-  bool cuts = false;
-  /// Maximum root separation rounds (each round re-solves the root LP).
-  int max_cut_rounds = 10;
-  /// Cap on cuts accepted per separation round.
-  int max_cuts_per_round = 50;
-  /// Separate cover/clique cuts at tree nodes of depth <= this (they are
-  /// globally valid, so tree separation is sound); < 0 restricts cut
-  /// generation to the root rounds.
-  int node_cut_depth = 4;
   /// Pseudocost branching: rank fractional variables of the top priority
   /// class by observed objective degradation per unit of fractionality,
   /// falling back to most-fractional until a variable has observations in

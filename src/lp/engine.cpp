@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -68,31 +67,6 @@ class EngineImpl {
 
   [[nodiscard]] int num_rows() const { return m_; }
   [[nodiscard]] int num_structural() const { return n_; }
-  [[nodiscard]] bool has_basis() const { return basis_valid_; }
-
-  [[nodiscard]] int basic_variable(int i) const {
-    ARCHEX_REQUIRE(basis_valid_, "no valid basis");
-    ARCHEX_REQUIRE(i >= 0 && i < m_, "row out of range");
-    return basis_[static_cast<std::size_t>(i)];
-  }
-
-  [[nodiscard]] SimplexEngine::ColStatus column_status(int j) const {
-    ARCHEX_REQUIRE(basis_valid_, "no valid basis");
-    ARCHEX_REQUIRE(j >= 0 && j < n_ + m_, "column out of range");
-    switch (state_[idx(j)]) {
-      case VarState::kBasic: return SimplexEngine::ColStatus::kBasic;
-      case VarState::kAtLower: return SimplexEngine::ColStatus::kAtLower;
-      case VarState::kAtUpper: return SimplexEngine::ColStatus::kAtUpper;
-      case VarState::kFree: break;
-    }
-    return SimplexEngine::ColStatus::kFree;
-  }
-
-  [[nodiscard]] double column_value(int j) const {
-    ARCHEX_REQUIRE(basis_valid_, "no valid basis");
-    ARCHEX_REQUIRE(j >= 0 && j < n_ + m_, "column out of range");
-    return x_[idx(j)];
-  }
 
   [[nodiscard]] double column_lower(int j) const {
     ARCHEX_REQUIRE(basis_valid_, "no valid basis");
@@ -104,30 +78,6 @@ class EngineImpl {
     ARCHEX_REQUIRE(basis_valid_, "no valid basis");
     ARCHEX_REQUIRE(j >= 0 && j < n_ + m_, "column out of range");
     return up_[idx(j)];
-  }
-
-  [[nodiscard]] bool tableau_row(int i, std::vector<double>& alpha) {
-    if (!basis_valid_) return false;
-    ARCHEX_REQUIRE(i >= 0 && i < m_, "row out of range");
-    const int nm = n_ + m_;
-    alpha.assign(static_cast<std::size_t>(nm), 0.0);
-    if (use_dense_) {
-      const double* rho = &binv(i, 0);
-      for (int j = 0; j < nm; ++j) {
-        double a = 0.0;
-        for (const auto& [row, coef] : cols_[idx(j)]) {
-          a += rho[row] * coef;
-        }
-        alpha[idx(j)] = a;
-      }
-      return true;
-    }
-    scatter_alpha(basis_row(i));
-    for (const int j : touched_) {
-      if (j < nm) alpha[idx(j)] = alpha_[idx(j)];
-    }
-    clear_alpha();
-    return true;
   }
 
   [[nodiscard]] bool reduced_costs(std::vector<double>& d) {
@@ -166,49 +116,6 @@ class EngineImpl {
       d[idx(j)] = red;
     }
     return true;
-  }
-
-  void add_constraint(const std::vector<Term>& terms, double lo, double up) {
-    ARCHEX_REQUIRE(lo <= up, "row bounds must satisfy lo <= up");
-    // Merge duplicate variables through a dense scratch so the snapshot
-    // columns stay canonical.
-    std::vector<double> dense(static_cast<std::size_t>(n_), 0.0);
-    for (const Term& t : terms) {
-      ARCHEX_REQUIRE(t.var >= 0 && t.var < n_,
-                     "cut references unknown variable");
-      dense[idx(t.var)] += t.coef;
-    }
-    const int row = m_;
-    for (int j = 0; j < n_; ++j) {
-      if (dense[idx(j)] != 0.0) base_cols_[idx(j)].push_back({row, dense[idx(j)]});
-    }
-    // The new row's logical lands at index n + m, directly after the
-    // existing logicals, so all column indices stay stable.
-    base_cols_.push_back({{row, -1.0}});
-    base_lo_.push_back(lo);
-    base_up_.push_back(up);
-    cost_.resize(static_cast<std::size_t>(base_total_));  // drop stale artificials
-    cost_.push_back(0.0);
-    // Deterministic perturbation entry for the new logical, same scale rule
-    // as snapshot() (cost 0), keyed off the column index so repeated cut
-    // sequences reproduce bit-for-bit.
-    double p = 0.0;
-    if (lo != -kInf && up != kInf) {
-      SplitMix64 mix(0x9e3779b97f4a7c15ULL ^
-                     (0xff51afd7ed558ccdULL *
-                      static_cast<std::uint64_t>(base_total_ + 1)));
-      const double u = 0.5 + static_cast<double>(mix.next() >> 11) * 0x1.0p-54;
-      p = 1e-9 * u;
-      pert_slack_ += p * std::max(std::abs(lo), std::abs(up));
-    }
-    pert_.push_back(p);
-    ++m_;
-    ++base_total_;
-    if (opt_.max_iterations <= 0) {
-      max_iter_ = 4000 + 60L * (static_cast<long>(n_) + m_);
-    }
-    basis_valid_ = false;
-    farkas_valid_ = false;  // a certificate does not cover the new row
   }
 
   void set_deadline(std::chrono::steady_clock::time_point deadline) {
@@ -1433,24 +1340,11 @@ double SimplexEngine::col_up(int var) const { return impl_->col_up(var); }
 
 int SimplexEngine::num_rows() const { return impl_->num_rows(); }
 int SimplexEngine::num_structural() const { return impl_->num_structural(); }
-bool SimplexEngine::has_basis() const { return impl_->has_basis(); }
-int SimplexEngine::basic_variable(int i) const {
-  return impl_->basic_variable(i);
-}
-SimplexEngine::ColStatus SimplexEngine::column_status(int j) const {
-  return impl_->column_status(j);
-}
-double SimplexEngine::column_value(int j) const {
-  return impl_->column_value(j);
-}
 double SimplexEngine::column_lower(int j) const {
   return impl_->column_lower(j);
 }
 double SimplexEngine::column_upper(int j) const {
   return impl_->column_upper(j);
-}
-bool SimplexEngine::tableau_row(int i, std::vector<double>& alpha) {
-  return impl_->tableau_row(i, alpha);
 }
 bool SimplexEngine::reduced_costs(std::vector<double>& d) {
   return impl_->reduced_costs(d);
@@ -1458,11 +1352,6 @@ bool SimplexEngine::reduced_costs(std::vector<double>& d) {
 bool SimplexEngine::farkas_ray(std::vector<double>& z, double& margin) const {
   return impl_->farkas_ray(z, margin);
 }
-void SimplexEngine::add_constraint(const std::vector<Term>& terms, double lo,
-                                   double up) {
-  impl_->add_constraint(terms, lo, up);
-}
-
 Solution SimplexEngine::solve_from_scratch() {
   return impl_->solve_from_scratch();
 }

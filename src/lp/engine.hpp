@@ -55,45 +55,24 @@ class SimplexEngine {
   [[nodiscard]] double col_lo(int var) const;
   [[nodiscard]] double col_up(int var) const;
 
-  // ---- cut interface ---------------------------------------------------------
+  // ---- basis introspection --------------------------------------------------
   //
-  // Enough tableau introspection for a cut separator to read Gomory
-  // mixed-integer cuts off the optimal basis, plus a way to append the
-  // resulting rows to a live engine. Columns are indexed structural-first:
-  // 0..n-1 are the problem's variables, n..n+m-1 the row logicals (the
-  // logical of row i holds the activity of row i).
+  // Columns are indexed structural-first: 0..n-1 are the problem's
+  // variables, n..n+m-1 the row logicals (the logical of row i holds the
+  // activity of row i).
 
-  /// Nonbasic position of a column at the last optimal basis.
-  enum class ColStatus : unsigned char { kBasic, kAtLower, kAtUpper, kFree };
-
-  /// Row count, including rows appended by add_constraint().
+  /// Row count.
   [[nodiscard]] int num_rows() const;
-  /// Structural column count (fixed at construction).
+  /// Structural column count.
   [[nodiscard]] int num_structural() const;
-  /// True while the engine holds an optimal basis the tableau accessors can
-  /// read (cleared by add_constraint and by any non-optimal solve).
-  [[nodiscard]] bool has_basis() const;
-  /// Column basic in row position `i` of the current basis. May exceed
-  /// n + m - 1 when a retired phase-1 artificial is still (degenerately)
-  /// basic; callers must skip such rows.
-  [[nodiscard]] int basic_variable(int i) const;
-  [[nodiscard]] ColStatus column_status(int j) const;
-  /// Value / working bounds of column `j` at the last solve (for logicals:
-  /// the row activity and the row bounds).
-  [[nodiscard]] double column_value(int j) const;
+  /// Working bounds of column `j` at the last solve (for logicals: the row
+  /// bounds).
   [[nodiscard]] double column_lower(int j) const;
   [[nodiscard]] double column_upper(int j) const;
-  /// Row `i` of B^{-1} A over the n + m structural + logical columns.
-  /// Returns false when no valid basis is available.
-  [[nodiscard]] bool tableau_row(int i, std::vector<double>& alpha);
   /// Reduced costs of the n + m structural + logical columns with respect
   /// to the *true* (unperturbed) objective at the current basis — the safe
   /// input for reduced-cost fixing. Returns false without a valid basis.
   [[nodiscard]] bool reduced_costs(std::vector<double>& d);
-  /// Append a row `lo <= terms <= up` (a cutting plane) to the engine.
-  /// Terms referencing the same variable are summed. Invalidates the
-  /// warm-start basis: the next solve runs from scratch.
-  void add_constraint(const std::vector<Term>& terms, double lo, double up);
 
   // ---- infeasibility certificates -------------------------------------------
   //

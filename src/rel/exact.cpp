@@ -1,14 +1,12 @@
 #include "rel/exact.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <utility>
 
-#include "graph/paths.hpp"
 #include "rel/bdd_method.hpp"
-#include "rel/series_parallel.hpp"
 #include "support/check.hpp"
 
 namespace archex::rel {
@@ -354,62 +352,6 @@ class Factoring {
   std::vector<NodeState> state_;
 };
 
-/// Inclusion–exclusion over minimal path sets. For a functional link with
-/// paths mu_1..mu_f:
-///   P(working) = sum_{S != empty} (-1)^{|S|+1} prod_{v in union(S)} (1-p_v)
-/// computed by recursion over paths carrying the running node-set union.
-class InclusionExclusion {
- public:
-  InclusionExclusion(const Digraph& g, const std::vector<NodeId>& sources,
-                     NodeId sink, const std::vector<double>& p,
-                     std::size_t max_paths, const Deadline& deadline)
-      : p_(p), poller_(deadline) {
-    ARCHEX_REQUIRE(g.num_nodes() <= 64,
-                   "inclusion–exclusion supports up to 64 nodes; "
-                   "use the factoring method for larger graphs");
-    const auto paths = graph::enumerate_simple_paths(g, sources, sink,
-                                                     max_paths);
-    ARCHEX_REQUIRE(paths.size() <= 24,
-                   "inclusion–exclusion over >24 paths is intractable; "
-                   "use the factoring method");
-    for (const auto& path : paths) {
-      std::uint64_t mask = 0;
-      for (NodeId v : path) mask |= (1ULL << v);
-      masks_.push_back(mask);
-    }
-  }
-
-  double run() const {
-    // Starting the recursion at sign = -1 makes a subset of k paths carry
-    // (-1)^{k+1}, matching P(∪ A_i) = Σ_{S≠∅} (-1)^{|S|+1} P(∩_{i∈S} A_i).
-    const double works = subset_sum(0, 0, -1);
-    return 1.0 - works;
-  }
-
- private:
-  double subset_sum(std::size_t index, std::uint64_t mask, int sign) const {
-    poller_.poll();
-    if (index == masks_.size()) {
-      if (mask == 0) return 0.0;  // skip the empty subset
-      double prob_all_up = 1.0;
-      std::uint64_t bits = mask;
-      while (bits) {
-        const int v = std::countr_zero(bits);
-        bits &= bits - 1;
-        prob_all_up *= 1.0 - p_[static_cast<std::size_t>(v)];
-      }
-      return sign * prob_all_up;
-    }
-    // Exclude, then include path `index` (flipping the sign).
-    return subset_sum(index + 1, mask, sign) +
-           subset_sum(index + 1, mask | masks_[index], -sign);
-  }
-
-  const std::vector<double>& p_;
-  mutable DeadlinePoller poller_;
-  std::vector<std::uint64_t> masks_;
-};
-
 void validate(const Digraph& g, const std::vector<NodeId>& sources,
               NodeId sink, const std::vector<double>& p) {
   ARCHEX_REQUIRE(sink >= 0 && sink < g.num_nodes(), "sink out of range");
@@ -509,22 +451,12 @@ std::vector<double> run_bdd(const Digraph& g,
 double failure_probability(const Digraph& g,
                            const std::vector<NodeId>& sources,
                            graph::NodeId sink, const std::vector<double>& p,
-                           const EvalContext& ctx, ExactMethod method,
-                           std::size_t max_paths) {
+                           const EvalContext& ctx, ExactMethod method) {
   validate(g, sources, sink, p);
   if (sources.empty()) return 1.0;
   switch (method) {
     case ExactMethod::kFactoring:
       return run_factoring(g, sources, sink, p, ctx);
-    case ExactMethod::kInclusionExclusion:
-      return InclusionExclusion(g, sources, sink, p, max_paths, ctx.deadline)
-          .run();
-    case ExactMethod::kSeriesParallelAuto: {
-      if (const auto reduced = series_parallel_failure(g, sources, sink, p)) {
-        return *reduced;
-      }
-      return run_factoring(g, sources, sink, p, ctx);
-    }
     case ExactMethod::kBdd:
       return run_bdd(g, sources, {sink}, p, ctx).front();
   }
@@ -535,10 +467,10 @@ EvalResult try_failure_probability(const Digraph& g,
                                    const std::vector<NodeId>& sources,
                                    graph::NodeId sink,
                                    const std::vector<double>& p,
-                                   const EvalContext& ctx, ExactMethod method,
-                                   std::size_t max_paths) {
+                                   const EvalContext& ctx,
+                                   ExactMethod method) {
   try {
-    return {failure_probability(g, sources, sink, p, ctx, method, max_paths),
+    return {failure_probability(g, sources, sink, p, ctx, method),
             EvalStatus::kOk};
   } catch (const TimeoutError&) {
     return {1.0, EvalStatus::kTimeLimit};
@@ -548,16 +480,13 @@ EvalResult try_failure_probability(const Digraph& g,
 double failure_probability(const Digraph& g,
                            const std::vector<NodeId>& sources,
                            graph::NodeId sink, const std::vector<double>& p,
-                           ExactMethod method, std::size_t max_paths) {
-  return failure_probability(g, sources, sink, p, EvalContext{}, method,
-                             max_paths);
+                           ExactMethod method) {
+  return failure_probability(g, sources, sink, p, EvalContext{}, method);
 }
 
 std::string to_string(ExactMethod method) {
   switch (method) {
     case ExactMethod::kFactoring: return "factoring";
-    case ExactMethod::kInclusionExclusion: return "inclusion-exclusion";
-    case ExactMethod::kSeriesParallelAuto: return "series-parallel";
     case ExactMethod::kBdd: return "bdd";
   }
   return "unknown";
@@ -565,17 +494,14 @@ std::string to_string(ExactMethod method) {
 
 std::optional<ExactMethod> parse_exact_method(const std::string& name) {
   if (name == "factoring") return ExactMethod::kFactoring;
-  if (name == "inclusion-exclusion") return ExactMethod::kInclusionExclusion;
-  if (name == "series-parallel") return ExactMethod::kSeriesParallelAuto;
   if (name == "bdd") return ExactMethod::kBdd;
   return std::nullopt;
 }
 
 double failure_probability(const Digraph& g, const graph::Partition& partition,
                            graph::NodeId sink, const std::vector<double>& p,
-                           ExactMethod method, std::size_t max_paths) {
-  return failure_probability(g, partition.members(0), sink, p, method,
-                             max_paths);
+                           ExactMethod method) {
+  return failure_probability(g, partition.members(0), sink, p, method);
 }
 
 std::vector<double> failure_probabilities(const Digraph& g,

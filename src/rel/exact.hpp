@@ -7,11 +7,12 @@
 // reliability analysis method for directed graphs can also be used", so two
 // independent exact methods are provided and cross-checked in the tests:
 //
-//  * factoring (pivot decomposition): condition on one relevant component at
-//    a time, with two strong pruning rules — certain failure as soon as the
-//    surviving nodes disconnect every source from the sink, and certain
-//    success as soon as a fully-working path exists;
-//  * inclusion–exclusion over the minimal path sets of the functional link.
+//  * BDD (the default): compile source->sink connectivity into an ROBDD
+//    (src/bdd) and read P[f = 0] off it in one sweep;
+//  * factoring (pivot decomposition, the reference): condition on one
+//    relevant component at a time, with two strong pruning rules — certain
+//    failure as soon as the surviving nodes disconnect every source from the
+//    sink, and certain success as soon as a fully-working path exists.
 //
 // Semantics (Section II of the paper): a component failure removes the node
 // and its incident links; the sink's failure event R_i also includes the
@@ -37,11 +38,6 @@ namespace archex::rel {
 
 enum class ExactMethod {
   kFactoring,
-  kInclusionExclusion,
-  /// Try polynomial series-parallel reduction first (EPS-shaped
-  /// architectures usually reduce completely); fall back to factoring on
-  /// irreducible graphs. Always exact.
-  kSeriesParallelAuto,
   /// Compile the source->sink connectivity function into an ROBDD (src/bdd)
   /// under a structural variable ordering and evaluate P[f = 0] in one
   /// sweep. Exact; cost scales with BDD width rather than pathset count.
@@ -84,8 +80,8 @@ struct EvalContext {
   EvalCache* cache = nullptr;
   /// Evaluates independent factoring subtrees concurrently.
   support::ThreadPool* pool = nullptr;
-  /// Wall-clock deadline polled inside the factoring recursion, the
-  /// inclusion–exclusion subset loop, and the BDD compilation, so
+  /// Wall-clock deadline polled inside the factoring recursion and the BDD
+  /// compilation, so
   /// adversarial graphs abort promptly instead of hanging. nullopt (the
   /// default) never times out.
   std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -94,14 +90,10 @@ struct EvalContext {
 /// Exact probability that `sink` is cut off from every node in `sources`
 /// (including by its own failure). `p[v]` is the self-failure probability of
 /// node v; entries must lie in [0, 1].
-///
-/// `max_paths` bounds the path enumeration of the inclusion–exclusion
-/// method (ignored by factoring); it throws archex::Error when exceeded.
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     graph::NodeId sink, const std::vector<double>& p,
-    ExactMethod method = kDefaultExactMethod,
-    std::size_t max_paths = 1u << 20);
+    ExactMethod method = kDefaultExactMethod);
 
 /// Accelerated variant: consults/extends `ctx.cache` at every factoring
 /// pivot subproblem (whole-graph granularity for kBdd) and evaluates
@@ -110,8 +102,7 @@ struct EvalContext {
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     graph::NodeId sink, const std::vector<double>& p, const EvalContext& ctx,
-    ExactMethod method = kDefaultExactMethod,
-    std::size_t max_paths = 1u << 20);
+    ExactMethod method = kDefaultExactMethod);
 
 /// Deadline-tolerant variant: identical to the EvalContext overload but a
 /// tripped `ctx.deadline` is reported as EvalStatus::kTimeLimit instead of
@@ -119,15 +110,13 @@ struct EvalContext {
 [[nodiscard]] EvalResult try_failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     graph::NodeId sink, const std::vector<double>& p, const EvalContext& ctx,
-    ExactMethod method = kDefaultExactMethod,
-    std::size_t max_paths = 1u << 20);
+    ExactMethod method = kDefaultExactMethod);
 
 /// Convenience overload: sources are the members of type 0 (Π_1).
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const graph::Partition& partition,
     graph::NodeId sink, const std::vector<double>& p,
-    ExactMethod method = kDefaultExactMethod,
-    std::size_t max_paths = 1u << 20);
+    ExactMethod method = kDefaultExactMethod);
 
 /// Short lowercase name of the method ("factoring", "bdd", ...).
 [[nodiscard]] std::string to_string(ExactMethod method);
@@ -140,8 +129,8 @@ struct EvalContext {
 /// Exact failure of every sink in `sinks` (entry k for sinks[k]), with the
 /// same values, cache keys and cache traffic as one failure_probability
 /// call per sink. kBdd looks every sink up in `ctx.cache` first and compiles
-/// the missing ones together (bdd_failure_probabilities); the other methods
-/// evaluate sink by sink.
+/// the missing ones together (bdd_failure_probabilities); factoring
+/// evaluates sink by sink.
 [[nodiscard]] std::vector<double> failure_probabilities(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,
     const std::vector<graph::NodeId>& sinks, const std::vector<double>& p,

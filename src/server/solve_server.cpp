@@ -117,6 +117,18 @@ void SolveServer::serve_connection(Connection* conn,
       stat_requests_.fetch_add(1);
       stream.write_line(core::to_json(response));
     }
+  } catch (const support::LineTooLongError& e) {
+    // An unterminated line past the cap: answer it once, then close.
+    stat_requests_.fetch_add(1);
+    stat_malformed_.fetch_add(1);
+    core::SolveResponse response;
+    response.status = "error";
+    response.error = std::string("request: ") + e.what();
+    try {
+      stream.write_line(core::to_json(response));
+    } catch (const support::SocketError&) {
+      // The peer is gone already.
+    }
   } catch (const support::SocketError&) {
     // Peer hung up mid-exchange; nothing to clean beyond the stream itself.
   }

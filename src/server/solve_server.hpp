@@ -76,7 +76,7 @@ class SolveServer {
     long connections = 0;  // accepted sockets
     long requests = 0;     // request lines answered (any status)
     long shed = 0;         // ... of which: rejected by admission control
-    long malformed = 0;    // ... of which: SpecError before dispatch
+    long malformed = 0;    // ... of which: SpecError or overlong line
   };
   [[nodiscard]] Stats stats() const;
 

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -28,6 +29,7 @@ TcpStream& TcpStream::operator=(TcpStream&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    scanned_ = std::exchange(other.scanned_, 0);
   }
   return *this;
 }
@@ -54,11 +56,22 @@ TcpStream TcpStream::connect(const std::string& host, std::uint16_t port) {
 
 bool TcpStream::read_line(std::string& out) {
   while (true) {
-    if (const auto nl = buffer_.find('\n'); nl != std::string::npos) {
+    // Only the bytes appended since the last scan can hold the newline, so
+    // a long line costs one pass over its bytes, not one per chunk.
+    const std::size_t nl = buffer_.find('\n', scanned_);
+    if (nl != std::string::npos && nl <= kMaxLineBytes) {
       out.assign(buffer_, 0, nl);
       buffer_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    if (std::min(nl, buffer_.size()) > kMaxLineBytes) {
+      buffer_.clear();
+      scanned_ = 0;
+      throw LineTooLongError("line exceeds " + std::to_string(kMaxLineBytes) +
+                             " bytes");
+    }
+    scanned_ = buffer_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
@@ -70,6 +83,7 @@ bool TcpStream::read_line(std::string& out) {
       if (buffer_.empty()) return false;
       out = std::move(buffer_);
       buffer_.clear();
+      scanned_ = 0;
       return true;
     }
     if (errno == EINTR) continue;

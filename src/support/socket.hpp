@@ -12,10 +12,13 @@
 // (move-only, closed on destruction).
 //
 // Errors surface as SocketError. A peer that disconnects mid-line is not an
-// error: read_line() returns false at clean EOF.
+// error: read_line() returns false at clean EOF. A line longer than
+// kMaxLineBytes is: read_line() throws LineTooLongError instead of buffering
+// without limit.
 #pragma once
 
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,6 +33,18 @@ class SocketError : public Error {
   explicit SocketError(const std::string& what) : Error(what) {}
 };
 
+/// Longest line read_line() accepts, newline excluded: 16 MiB, far above
+/// any request the tests, benches or examples send.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
+/// The peer sent more than kMaxLineBytes without a newline. The buffered
+/// bytes are dropped; the stream is no longer line-aligned and should be
+/// closed.
+class LineTooLongError : public SocketError {
+ public:
+  explicit LineTooLongError(const std::string& what) : SocketError(what) {}
+};
+
 /// A connected TCP socket (server-accepted or client-connected).
 class TcpStream {
  public:
@@ -38,7 +53,9 @@ class TcpStream {
   ~TcpStream();
 
   TcpStream(TcpStream&& other) noexcept
-      : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+      : fd_(std::exchange(other.fd_, -1)),
+        buffer_(std::move(other.buffer_)),
+        scanned_(std::exchange(other.scanned_, 0)) {}
   TcpStream& operator=(TcpStream&& other) noexcept;
   TcpStream(const TcpStream&) = delete;
   TcpStream& operator=(const TcpStream&) = delete;
@@ -50,7 +67,7 @@ class TcpStream {
   /// Read up to the next '\n' (consumed, not included in `out`). Returns
   /// false on clean EOF with no buffered partial line; a partial final line
   /// (EOF before the newline) is returned as a line. Throws SocketError on
-  /// transport errors.
+  /// transport errors and LineTooLongError past kMaxLineBytes.
   [[nodiscard]] bool read_line(std::string& out);
 
   /// Write the whole buffer, looping over short writes. Throws SocketError.
@@ -63,7 +80,8 @@ class TcpStream {
 
  private:
   int fd_ = -1;
-  std::string buffer_;  // bytes read past the last returned line
+  std::string buffer_;       // bytes read past the last returned line
+  std::size_t scanned_ = 0;  // prefix of buffer_ known to hold no '\n'
 };
 
 /// A listening TCP socket (IPv4 loopback-or-any, SO_REUSEADDR).

@@ -1,7 +1,8 @@
 // Tests for the ROBDD subsystem: the BddManager engine itself (hash-consing
 // canonicity, ite rules, restrict, probability sweep, counters), the
-// rel::ExactMethod::kBdd analyzer against closed forms and the other exact
-// methods on randomized DAGs and general digraphs, the variable-ordering
+// rel::ExactMethod::kBdd analyzer against closed forms, factoring and the
+// test-only inclusion–exclusion oracle (exact_oracles.hpp) on randomized DAGs
+// and general digraphs, the variable-ordering
 // heuristics, relative precision of failures far below 1e-16, the
 // whole-graph EvalCache interaction (including the first-writer-wins
 // contract across methods), and the EvalContext deadline.
@@ -15,6 +16,7 @@
 #include "bdd/bdd.hpp"
 #include "core/configuration.hpp"
 #include "eps/eps_template.hpp"
+#include "exact_oracles.hpp"
 #include "graph/digraph.hpp"
 #include "rel/bdd_method.hpp"
 #include "rel/eval_cache.hpp"
@@ -80,8 +82,8 @@ struct Example1 {
 };
 
 /// side x side directed grid (edges right and down), source at the top-left
-/// corner, sink at the bottom-right. Treewidth `side`: irreducible for the
-/// series-parallel pass and adversarial for factoring, which makes it the
+/// corner, sink at the bottom-right. Treewidth `side`: not series-parallel
+/// reducible and adversarial for factoring, which makes it the
 /// deadline-test workload; the BDD method handles it comfortably.
 Digraph make_grid(int side) {
   Digraph g(side * side);
@@ -91,25 +93,6 @@ Digraph make_grid(int side) {
       if (c + 1 < side) g.add_edge(v, v + 1);
       if (r + 1 < side) g.add_edge(v, v + side);
     }
-  }
-  return g;
-}
-
-/// source -> `layers` fully-crossed layers of `width` rails -> sink.
-/// Exactly width^layers minimal paths.
-Digraph make_ladder(int layers, int width) {
-  const int n = layers * width + 2;
-  Digraph g(n);
-  for (int w = 0; w < width; ++w) g.add_edge(0, 1 + w);
-  for (int l = 0; l + 1 < layers; ++l) {
-    for (int a = 0; a < width; ++a) {
-      for (int b = 0; b < width; ++b) {
-        g.add_edge(1 + l * width + a, 1 + (l + 1) * width + b);
-      }
-    }
-  }
-  for (int w = 0; w < width; ++w) {
-    g.add_edge(1 + (layers - 1) * width + w, n - 1);
   }
   return g;
 }
@@ -495,8 +478,7 @@ TEST_P(BddDifferentialDag, AgreesOnRandomDags) {
   EXPECT_NEAR(rb, rf, 1e-12);
   EXPECT_TRUE(rel_near(rb, rf, 1e-12));
   try {
-    const double ri = failure_probability(g, sources, sink, p,
-                                          ExactMethod::kInclusionExclusion);
+    const double ri = oracle::inclusion_exclusion_failure(g, sources, sink, p);
     EXPECT_NEAR(rb, ri, 1e-9);
   } catch (const PreconditionError&) {
     // too many paths for inclusion–exclusion; factoring already cross-checks
@@ -545,8 +527,7 @@ TEST_P(BddDifferentialDigraph, AgreesOnRandomDigraphs) {
     }
   }
   try {
-    const double ri = failure_probability(g, sources, sink, p,
-                                          ExactMethod::kInclusionExclusion);
+    const double ri = oracle::inclusion_exclusion_failure(g, sources, sink, p);
     EXPECT_NEAR(rb, ri, 1e-9);
   } catch (const PreconditionError&) {
     // too many paths (or nodes) for inclusion–exclusion on this seed
@@ -641,23 +622,10 @@ TEST(BddDeadline, ExpiredDeadlineReportsTimeLimit) {
   const NodeId sink = side * side - 1;
   EvalContext ctx;
   ctx.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  for (ExactMethod m : {ExactMethod::kFactoring,
-                        ExactMethod::kSeriesParallelAuto, ExactMethod::kBdd}) {
+  for (ExactMethod m : {ExactMethod::kFactoring, ExactMethod::kBdd}) {
     const EvalResult r = try_failure_probability(g, {0}, sink, p, ctx, m);
     EXPECT_EQ(r.status, EvalStatus::kTimeLimit) << to_string(m);
   }
-}
-
-TEST(BddDeadline, InclusionExclusionHonorsDeadline) {
-  // 2^4 = 16 minimal paths stay under the method's path cap while the
-  // 2^16-term subset loop spans many poll intervals.
-  const Digraph g = make_ladder(4, 2);
-  const std::vector<double> p(static_cast<std::size_t>(g.num_nodes()), 0.3);
-  EvalContext ctx;
-  ctx.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  const EvalResult r = try_failure_probability(
-      g, {0}, g.num_nodes() - 1, p, ctx, ExactMethod::kInclusionExclusion);
-  EXPECT_EQ(r.status, EvalStatus::kTimeLimit);
 }
 
 TEST(BddDeadline, ThrowingOverloadThrowsTimeoutError) {
@@ -674,9 +642,7 @@ TEST(BddDeadline, GenerousDeadlineCompletes) {
   const Example1 e(0.3, 0.2, 0.1, 0.05);
   EvalContext ctx;
   ctx.deadline = std::chrono::steady_clock::now() + std::chrono::minutes(10);
-  for (ExactMethod m :
-       {ExactMethod::kFactoring, ExactMethod::kInclusionExclusion,
-        ExactMethod::kSeriesParallelAuto, ExactMethod::kBdd}) {
+  for (ExactMethod m : {ExactMethod::kFactoring, ExactMethod::kBdd}) {
     const EvalResult r = try_failure_probability(e.g, {0, 1}, 6, e.p, ctx, m);
     EXPECT_EQ(r.status, EvalStatus::kOk) << to_string(m);
     EXPECT_NEAR(r.failure, e.closed_form(), 1e-12) << to_string(m);
@@ -695,14 +661,16 @@ TEST(BddDeadline, NoDeadlineNeverTimesOut) {
 // ---- method name round-trip -------------------------------------------------
 
 TEST(BddMethod, NameRoundTrip) {
-  for (ExactMethod m :
-       {ExactMethod::kFactoring, ExactMethod::kInclusionExclusion,
-        ExactMethod::kSeriesParallelAuto, ExactMethod::kBdd}) {
+  for (ExactMethod m : {ExactMethod::kFactoring, ExactMethod::kBdd}) {
     const auto parsed = parse_exact_method(to_string(m));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, m);
   }
   EXPECT_FALSE(parse_exact_method("robdd").has_value());
+  // Inclusion–exclusion and series-parallel reduction are test oracles
+  // (exact_oracles.hpp), not selectable methods.
+  EXPECT_FALSE(parse_exact_method("inclusion-exclusion").has_value());
+  EXPECT_FALSE(parse_exact_method("series-parallel").has_value());
 }
 
 }  // namespace

@@ -229,12 +229,10 @@ TEST(BranchAndBound, ObjectiveConstantReported) {
 
 TEST(BranchAndBound, NodeLimitReported) {
   // Odd-cycle packing: the root LP optimum is the all-0.5 point, so at least
-  // one branch is required; with max_nodes = 1 the limit must trip. Cuts
-  // stay off — the clique cut a+b+c <= 1 would close the gap at the root.
+  // one branch is required; with max_nodes = 1 the limit must trip.
   BranchAndBoundOptions opt;
   opt.max_nodes = 1;
   opt.root_rounding_heuristic = false;
-  opt.cuts = false;
   Model m;
   const Var a = m.add_binary("a");
   const Var b = m.add_binary("b");

@@ -1,10 +1,12 @@
-// Tests for archex::rel: the two exact analyzers against closed forms and
-// each other, the Monte-Carlo estimator, the approximate reliability algebra
-// (Example 1 of the paper), and the Theorem-2 optimism bound.
+// Tests for archex::rel: the two exact analyzers against closed forms, each
+// other and the test-only oracles (exact_oracles.hpp), the plain and biased
+// Monte-Carlo estimators, the approximate reliability algebra (Example 1 of
+// the paper), and the Theorem-2 optimism bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "exact_oracles.hpp"
 #include "graph/digraph.hpp"
 #include "graph/partition.hpp"
 #include "graph/paths.hpp"
@@ -67,22 +69,26 @@ struct Example1 {
 
 TEST(Exact, SeriesChainMatchesClosedForm) {
   const Series s(0.1, 0.2, 0.05);
-  for (ExactMethod m :
-       {ExactMethod::kFactoring, ExactMethod::kInclusionExclusion,
-        ExactMethod::kSeriesParallelAuto}) {
+  for (ExactMethod m : {ExactMethod::kFactoring, ExactMethod::kBdd}) {
     EXPECT_NEAR(failure_probability(s.g, {0}, 2, s.p, m), s.closed_form(),
                 1e-12);
   }
+  EXPECT_NEAR(oracle::inclusion_exclusion_failure(s.g, {0}, 2, s.p),
+              s.closed_form(), 1e-12);
+  EXPECT_NEAR(*oracle::series_parallel_failure(s.g, {0}, 2, s.p),
+              s.closed_form(), 1e-12);
 }
 
 TEST(Exact, Example1MatchesPaperClosedForm) {
   const Example1 e(2e-4, 2e-4, 2e-4, 0.0);
-  for (ExactMethod m :
-       {ExactMethod::kFactoring, ExactMethod::kInclusionExclusion,
-        ExactMethod::kSeriesParallelAuto}) {
+  for (ExactMethod m : {ExactMethod::kFactoring, ExactMethod::kBdd}) {
     EXPECT_NEAR(failure_probability(e.g, {0, 1}, 6, e.p, m), e.closed_form(),
                 1e-15);
   }
+  EXPECT_NEAR(oracle::inclusion_exclusion_failure(e.g, {0, 1}, 6, e.p),
+              e.closed_form(), 1e-15);
+  EXPECT_NEAR(*oracle::series_parallel_failure(e.g, {0, 1}, 6, e.p),
+              e.closed_form(), 1e-15);
 }
 
 TEST(Exact, Example1LargeProbabilities) {
@@ -91,9 +97,8 @@ TEST(Exact, Example1LargeProbabilities) {
   EXPECT_NEAR(
       failure_probability(e.g, {0, 1}, 6, e.p, ExactMethod::kFactoring),
       truth, 1e-12);
-  EXPECT_NEAR(failure_probability(e.g, {0, 1}, 6, e.p,
-                                  ExactMethod::kInclusionExclusion),
-              truth, 1e-12);
+  EXPECT_NEAR(oracle::inclusion_exclusion_failure(e.g, {0, 1}, 6, e.p), truth,
+              1e-12);
 }
 
 TEST(Exact, SinkIsSource) {
@@ -136,10 +141,10 @@ TEST(Exact, SharedMiddleNodeDominates) {
   const std::vector<double> p{0.1, 0.1, 0.2, 0.0};
   // Fails iff bus fails or both sources fail.
   const double truth = 0.2 + 0.8 * (0.1 * 0.1);
-  for (ExactMethod m :
-       {ExactMethod::kFactoring, ExactMethod::kInclusionExclusion}) {
-    EXPECT_NEAR(failure_probability(g, {0, 1}, 3, p, m), truth, 1e-12);
-  }
+  EXPECT_NEAR(failure_probability(g, {0, 1}, 3, p, kFactoring), truth,
+              1e-12);
+  EXPECT_NEAR(oracle::inclusion_exclusion_failure(g, {0, 1}, 3, p), truth,
+              1e-12);
 }
 
 TEST(Exact, ValidatesInputs) {
@@ -171,8 +176,8 @@ TEST(Exact, WorstOverSinks) {
   EXPECT_GT(r4, r3);
 }
 
-// Property: the two exact methods agree on random DAGs, and Monte Carlo
-// confirms within sampling error.
+// Property: the exact methods and oracles agree on random DAGs, and Monte
+// Carlo confirms within sampling error.
 class ExactAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExactAgreement, MethodsAgreeOnRandomDags) {
@@ -192,15 +197,12 @@ TEST_P(ExactAgreement, MethodsAgreeOnRandomDags) {
 
   const double rf =
       failure_probability(g, sources, sink, p, ExactMethod::kFactoring);
-  // The auto method (series-parallel with factoring fallback) must always
-  // agree with plain factoring.
-  EXPECT_NEAR(failure_probability(g, sources, sink, p,
-                                  ExactMethod::kSeriesParallelAuto),
-              rf, 1e-9);
+  if (const auto sp = oracle::series_parallel_failure(g, sources, sink, p)) {
+    EXPECT_NEAR(*sp, rf, 1e-9);
+  }
   double ri = rf;
   try {
-    ri = failure_probability(g, sources, sink, p,
-                             ExactMethod::kInclusionExclusion);
+    ri = oracle::inclusion_exclusion_failure(g, sources, sink, p);
   } catch (const PreconditionError&) {
     return;  // too many paths for inclusion–exclusion; skip the cross-check
   }
@@ -235,6 +237,54 @@ TEST(MonteCarlo, RejectsBadSampleCount) {
   Digraph g(1);
   Rng rng(1);
   EXPECT_THROW((void)monte_carlo_failure(g, {0}, 0, {0.1}, 0, rng),
+               PreconditionError);
+}
+
+TEST(BiasedMonteCarlo, SeesRareFailuresPlainMcCannot) {
+  // Two parallel chains with p = 2e-4: exact failure ~ 1.6e-7.
+  Digraph g(5);
+  g.add_edge(0, 2);
+  g.add_edge(2, 4);
+  g.add_edge(1, 3);
+  g.add_edge(3, 4);
+  const std::vector<double> p{2e-4, 2e-4, 2e-4, 2e-4, 0.0};
+  const double exact = failure_probability(g, {0, 1}, 4, p);
+  ASSERT_LT(exact, 1e-6);
+
+  Rng plain_rng(1);
+  const auto plain = monte_carlo_failure(g, {0, 1}, 4, p, 20000, plain_rng);
+  EXPECT_DOUBLE_EQ(plain.estimate, 0.0);  // blind to the rare event
+
+  Rng biased_rng(2);
+  const auto biased =
+      monte_carlo_failure_biased(g, {0, 1}, 4, p, 20000, biased_rng, 0.2);
+  EXPECT_GT(biased.estimate, 0.0);
+  EXPECT_NEAR(biased.estimate, exact, 6.0 * biased.std_error + 1e-9);
+}
+
+TEST(BiasedMonteCarlo, UnbiasedAtModerateProbabilities) {
+  Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 3);
+  const std::vector<double> p{0.05, 0.1, 0.15, 0.02};
+  const double exact = failure_probability(g, {0}, 3, p);
+  Rng rng(7);
+  const auto est =
+      monte_carlo_failure_biased(g, {0}, 3, p, 50000, rng, 0.25);
+  EXPECT_NEAR(est.estimate, exact, 6.0 * est.std_error + 1e-4);
+}
+
+TEST(BiasedMonteCarlo, ValidatesBias) {
+  Digraph g(2);
+  g.add_edge(0, 1);
+  Rng rng(1);
+  EXPECT_THROW((void)monte_carlo_failure_biased(g, {0}, 1, {0.1, 0.1}, 10,
+                                                rng, 0.0),
+               PreconditionError);
+  EXPECT_THROW((void)monte_carlo_failure_biased(g, {0}, 1, {0.1, 0.1}, 10,
+                                                rng, 1.0),
                PreconditionError);
 }
 

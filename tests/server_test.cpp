@@ -1,7 +1,8 @@
 // Tests for the archex_server subsystem: SolveService request execution
 // (cross-request cache and nogood reuse, deadline expiry, validation) and
 // SolveServer wire behavior (loopback request/response, concurrent clients
-// sharing the cache, admission rejection, graceful stop).
+// sharing the cache, admission rejection, the request-line cap, graceful
+// stop).
 #include <atomic>
 #include <string>
 #include <thread>
@@ -109,6 +110,26 @@ TEST(SolveServiceTest, LearningOffSolvesColdEveryTime) {
 }
 
 // ---- SolveServer (wire protocol) -------------------------------------------
+
+TEST(SolveServerTest, RemovedExactMethodsAreErrorResponses) {
+  // Inclusion–exclusion and series-parallel reduction are test oracles,
+  // not exact methods: a request naming one gets an error, not a solve
+  // with a substitute method.
+  server::SolveServer server;
+  server.start();
+  support::TcpStream client =
+      support::TcpStream::connect("127.0.0.1", server.port());
+  for (const std::string method : {"inclusion-exclusion", "series-parallel"}) {
+    core::SolveRequest request = eps_request("r-" + method, 1, 1e-4);
+    request.method = method;
+    const core::SolveResponse response = exchange(client, request);
+    EXPECT_EQ(response.id, "r-" + method);
+    EXPECT_EQ(response.status, "error") << method;
+    EXPECT_NE(response.error.find("$.method"), std::string::npos) << method;
+    EXPECT_NE(response.error.find(method), std::string::npos) << method;
+  }
+  server.stop();
+}
 
 TEST(SolveServerTest, LoopbackRequestResponse) {
   server::SolveServer server;  // port 0: kernel-picked free port
@@ -310,6 +331,32 @@ TEST(SolveServerTest, StopIsIdempotentAndRestartable) {
       exchange(client, eps_request("r-again", 1, 1e-4));
   EXPECT_EQ(response.status, "unfeasible");
   server.stop();
+}
+
+TEST(SolveServerTest, OverlongLineGetsErrorThenEof) {
+  // A client that streams past the line cap without a newline gets one
+  // error line and then EOF, instead of growing the server's buffer.
+  server::SolveServer server;
+  server.start();
+  {
+    support::TcpStream client =
+        support::TcpStream::connect("127.0.0.1", server.port());
+    client.write_all(std::string(support::kMaxLineBytes + 1, 'x'));
+    std::string line;
+    ASSERT_TRUE(client.read_line(line));
+    const core::SolveResponse error = core::response_from_json(line);
+    EXPECT_EQ(error.status, "error");
+    EXPECT_NE(error.error.find("exceeds"), std::string::npos);
+    EXPECT_FALSE(client.read_line(line));
+  }
+  // The server keeps serving other connections.
+  support::TcpStream other =
+      support::TcpStream::connect("127.0.0.1", server.port());
+  const core::SolveResponse ok =
+      exchange(other, eps_request("r-next", 1, 1e-4));
+  EXPECT_EQ(ok.status, "unfeasible");
+  server.stop();
+  EXPECT_EQ(server.stats().malformed, 1);
 }
 
 }  // namespace
