@@ -12,15 +12,15 @@
 //    terms and keep full relative precision far below 1e-14, which the
 //    report checks as rel_err.
 //
-// `--threads N` (default 1) sizes the worker pool used by the *Parallel/
-// *Accelerated variants and the headline report printed before the
-// google-benchmark table: a synthesis-style workload (repeated factoring of
-// the largest EPS-shaped instance) run serially and then with the
-// cache+pool context, with the speedup, the cache hit rate, and a
-// bit-identity check of the two result streams.
+// The headline report printed before the google-benchmark table is a
+// synthesis-style workload (repeated factoring of the largest EPS-shaped
+// instance) run plain and then through a shared EvalCache, with the
+// speedup, the cache hit rate, and a bit-identity check of the two result
+// streams.
 //
 // `--order=<topo|bfs|degree>` selects the variable-ordering heuristic the
-// BDD benchmarks compile with (default topo). Independent of the flag, the
+// BDD benchmarks compile with (default topo, i.e. rel::BddOrdering::kAuto:
+// topological, BFS levels on cyclic graphs). Independent of the flag, the
 // headline report prints a per-ordering peak-BDD-size ablation over the
 // EPS-shaped instances — the baseline for future ordering work.
 //
@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -46,14 +45,12 @@
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
 using namespace archex;
 
-int g_threads = 1;  // set by --threads before benchmarks run
-rel::BddOrdering g_order = rel::BddOrdering::kTopological;  // --order
+rel::BddOrdering g_order = rel::BddOrdering::kAuto;  // --order
 const char* g_order_name = "topo";
 
 /// `chains` disjoint G->B->D->L chains sharing one sink, plus cross edges
@@ -118,24 +115,6 @@ void BM_FactoringCached(benchmark::State& state) {
   state.counters["hit_rate"] = cache.stats().hit_rate();
 }
 
-/// Factoring with the recursion tree fanned out over the --threads pool
-/// (no cache, to isolate the parallel speedup).
-void BM_FactoringParallel(benchmark::State& state) {
-  const ParallelChains arch(static_cast<int>(state.range(0)),
-                            state.range(1) != 0);
-  support::ThreadPool pool(g_threads);
-  rel::EvalContext ctx;
-  ctx.pool = &pool;
-  double r = 0.0;
-  for (auto _ : state) {
-    r = rel::failure_probability(arch.g, arch.sources, arch.sink, arch.p,
-                                 ctx, rel::ExactMethod::kFactoring);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["failure"] = r;
-  state.counters["threads"] = g_threads;
-}
-
 /// BDD compilation + evaluation, cold: a fresh manager per iteration, the
 /// way a synthesis loop meets each new iterate. The counters report the
 /// engine state of the last iteration.
@@ -187,15 +166,12 @@ void BM_MonteCarlo100k(benchmark::State& state) {
   state.counters["estimate"] = r;
 }
 
-/// Sharded estimator on the --threads pool; bit-identical to the serial
-/// sharding for any thread count (see MonteCarloOptions).
+/// Sharded estimator (fixed per-shard RNG streams, see MonteCarloOptions).
 void BM_MonteCarloSharded100k(benchmark::State& state) {
   const ParallelChains arch(static_cast<int>(state.range(0)),
                             state.range(1) != 0);
-  support::ThreadPool pool(g_threads);
   rel::MonteCarloOptions opt;
   opt.samples = 100000;
-  opt.pool = &pool;
   double r = 0.0;
   for (auto _ : state) {
     r = rel::monte_carlo_failure_sharded(arch.g, arch.sources, arch.sink,
@@ -204,7 +180,6 @@ void BM_MonteCarloSharded100k(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.counters["estimate"] = r;
-  state.counters["threads"] = g_threads;
 }
 
 // Args: {chains, cross-edges?}. Cross edges multiply the path count:
@@ -213,17 +188,14 @@ BENCHMARK(BM_Factoring)
     ->Args({2, 0})->Args({4, 0})->Args({8, 0})->Args({12, 0})
     ->Args({2, 1})->Args({3, 1})->Args({4, 1})->Args({6, 1})
     ->Unit(benchmark::kMicrosecond);
-// {12,0} is omitted from the accelerated variants: its subproblem count
-// saturates the default cache capacity (stores get rejected, no payoff) and
-// one cold iteration dominates the whole harness run.
+// {12,0} is omitted from the cached variant: its subproblem count saturates
+// the default cache capacity (stores get rejected, no payoff) and one cold
+// iteration dominates the whole harness run.
 BENCHMARK(BM_FactoringCached)
     ->Args({8, 0})->Args({4, 1})->Args({6, 1})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_FactoringParallel)
-    ->Args({8, 0})->Args({4, 1})->Args({6, 1})
-    ->Unit(benchmark::kMicrosecond);
 // The BDD method rides the graph width, so the {12,0} instance that is
-// omitted from the accelerated factoring variants is cheap here.
+// omitted from the cached factoring variant is cheap here.
 BENCHMARK(BM_Bdd)
     ->Args({2, 0})->Args({4, 0})->Args({8, 0})->Args({12, 0})
     ->Args({2, 1})->Args({3, 1})->Args({4, 1})->Args({6, 1})
@@ -240,8 +212,8 @@ BENCHMARK(BM_MonteCarloSharded100k)
 
 /// Headline acceptance check: a synthesis-style workload — the largest
 /// EPS-shaped instance of this harness factored `kEvals` times, the way
-/// ILP-MR/Pareto re-analyze near-identical iterates — serial vs the
-/// cache+pool context. Prints speedup, hit rate, and a bit-identity verdict.
+/// ILP-MR/Pareto re-analyze near-identical iterates — plain vs through a
+/// shared EvalCache. Prints speedup, hit rate, and a bit-identity verdict.
 /// Returns the measurements for the BENCH_rel.json section.
 json::Object report_headline_speedup() {
   constexpr int kEvals = 8;
@@ -258,50 +230,40 @@ json::Object report_headline_speedup() {
   }
   serial_watch.stop();
 
-  support::ThreadPool pool(g_threads);
   rel::EvalCache cache;
   rel::EvalContext ctx;
   ctx.cache = &cache;
-  ctx.pool = &pool;
-  Stopwatch accel_watch;
-  accel_watch.start();
-  std::vector<double> accelerated;
-  accelerated.reserve(kEvals);
+  Stopwatch cached_watch;
+  cached_watch.start();
+  std::vector<double> cached;
+  cached.reserve(kEvals);
   for (int i = 0; i < kEvals; ++i) {
-    accelerated.push_back(rel::failure_probability(
-        arch.g, arch.sources, arch.sink, arch.p, ctx,
-        rel::ExactMethod::kFactoring));
+    cached.push_back(rel::failure_probability(arch.g, arch.sources, arch.sink,
+                                              arch.p, ctx,
+                                              rel::ExactMethod::kFactoring));
   }
-  accel_watch.stop();
+  cached_watch.stop();
 
-  bool identical = true;
-  for (int i = 0; i < kEvals; ++i) {
-    if (serial[static_cast<std::size_t>(i)] !=
-        accelerated[static_cast<std::size_t>(i)]) {
-      identical = false;
-    }
-  }
+  const bool identical = serial == cached;
   const auto stats = cache.stats();
   std::printf(
       "=== headline: %d factoring evaluations of the largest EPS-shaped "
       "instance (chains=6, crossed) ===\n"
-      "serial (no cache, no pool): %.3f s\n"
-      "accelerated (--threads %d + cache): %.3f s  -> speedup %.2fx\n"
+      "plain (no cache): %.3f s\n"
+      "cached: %.3f s  -> speedup %.2fx\n"
       "cache: %llu hits / %llu misses (hit rate %.1f%%), %zu entries\n"
-      "parallel results identical to serial: %s\n\n",
-      kEvals, serial_watch.elapsed_seconds(), g_threads,
-      accel_watch.elapsed_seconds(),
+      "cached results identical to plain: %s\n\n",
+      kEvals, serial_watch.elapsed_seconds(), cached_watch.elapsed_seconds(),
       serial_watch.elapsed_seconds() /
-          std::max(accel_watch.elapsed_seconds(), 1e-12),
+          std::max(cached_watch.elapsed_seconds(), 1e-12),
       static_cast<unsigned long long>(stats.hits),
       static_cast<unsigned long long>(stats.misses), 100.0 * stats.hit_rate(),
       stats.size, identical ? "yes" : "NO (determinism contract violated)");
 
   json::Object out;
   out["evals"] = kEvals;
-  out["threads"] = g_threads;
   out["serial_seconds"] = serial_watch.elapsed_seconds();
-  out["accelerated_seconds"] = accel_watch.elapsed_seconds();
+  out["cached_seconds"] = cached_watch.elapsed_seconds();
   out["cache_hit_rate"] = stats.hit_rate();
   out["bit_identical"] = identical;
   return out;
@@ -352,7 +314,7 @@ json::Object report_bdd(json::Array& ablation_rows) {
     // instance (the compilation is rerun; timings above stay untouched).
     json::Object peaks;
     std::size_t peak_of[3] = {0, 0, 0};
-    const rel::BddOrdering orders[3] = {rel::BddOrdering::kTopological,
+    const rel::BddOrdering orders[3] = {rel::BddOrdering::kAuto,
                                         rel::BddOrdering::kBfsLevel,
                                         rel::BddOrdering::kDegree};
     const char* order_names[3] = {"topo", "bfs", "degree"};
@@ -417,7 +379,7 @@ json::Object report_bdd(json::Array& ablation_rows) {
 
 bool set_order(const char* name) {
   if (std::strcmp(name, "topo") == 0) {
-    g_order = rel::BddOrdering::kTopological;
+    g_order = rel::BddOrdering::kAuto;
   } else if (std::strcmp(name, "bfs") == 0) {
     g_order = rel::BddOrdering::kBfsLevel;
   } else if (std::strcmp(name, "degree") == 0) {
@@ -434,17 +396,12 @@ bool set_order(const char* name) {
 int main(int argc, char** argv) {
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--order=", 8) == 0) {
+    if (std::strncmp(argv[i], "--order=", 8) == 0) {
       if (!set_order(argv[i] + 8)) return 1;
     } else {
       args.push_back(argv[i]);
     }
   }
-  if (g_threads < 1) g_threads = 1;
 
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());

@@ -13,12 +13,12 @@
 // reliability-analysis time — explodes. We reproduce that shape on scaled
 // instances (g = 2..4; the bundled B&B replaces CPLEX, see EXPERIMENTS.md);
 // r* is set per size to the tightest value the template can meet.
-// `--threads N` (default 1) sizes the worker pool handed to ILP-MR's exact
-// reliability analysis AND the branch & bound's work-stealing tree search
-// (threads >= 2); one EvalCache is shared across every row and
-// strategy, so repeated subproblems (the same architecture iterates recur
-// across LEARNCONS/lazy and across sweep targets) are answered from memory.
-// The cache hit rate is reported after the table.
+// `--threads N` (default 1) sizes the branch & bound's work-stealing tree
+// search (threads >= 2); the exact reliability analysis runs serially. One
+// EvalCache is shared across every row and strategy, so repeated
+// subproblems (the same architecture iterates recur across LEARNCONS/lazy
+// and across sweep targets) are answered from memory. The cache hit rate is
+// reported after the table.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +30,6 @@
 #include "ilp/solver.hpp"
 #include "rel/eval_cache.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -39,8 +38,7 @@ using namespace archex;
 // NOTE: the template is passed in (not created here) because the returned
 // report's Configuration references it — templates must outlive results.
 core::IlpMrReport run(const eps::EpsTemplate& eps, double target, bool lazy,
-                      rel::EvalCache* cache, support::ThreadPool* pool,
-                      int threads) {
+                      rel::EvalCache* cache, int threads) {
   core::ArchitectureIlp ilp = eps::make_eps_ilp(eps);
   ilp::BranchAndBoundOptions bopt;
   bopt.time_limit_seconds = 60.0;
@@ -52,7 +50,6 @@ core::IlpMrReport run(const eps::EpsTemplate& eps, double target, bool lazy,
   options.accept_incumbent = true;
   options.max_iterations = 30;
   options.cache = cache;
-  options.pool = pool;
   return core::run_ilp_mr(ilp, solver, options);
 }
 
@@ -74,11 +71,10 @@ int main(int argc, char** argv) {
   }
   if (threads < 1) threads = 1;
 
-  support::ThreadPool pool(threads);
   rel::EvalCache cache;  // shared across all rows and both strategies
 
   std::puts("=== Table II: ILP-MR scalability, LEARNCONS vs lazy ===");
-  std::printf("(reliability analysis on %d thread%s, shared eval cache)\n\n",
+  std::printf("(branch & bound on %d thread%s, shared eval cache)\n\n",
               threads, threads == 1 ? "" : "s");
 
   struct Row {
@@ -105,7 +101,7 @@ int main(int argc, char** argv) {
     for (const bool lazy : {false, true}) {
       if (lazy && !row.run_lazy) continue;
       const core::IlpMrReport rep =
-          run(eps, row.target, lazy, &cache, &pool, threads);
+          run(eps, row.target, lazy, &cache, threads);
       {
         json::Object o;
         o["generators"] = row.generators;

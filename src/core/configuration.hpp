@@ -52,9 +52,8 @@ class Configuration {
       graph::NodeId sink,
       rel::ExactMethod method = rel::kDefaultExactMethod) const;
 
-  /// Accelerated variant: consults `ctx.cache` (whole-graph entries for
-  /// kBdd, every pivot for factoring, which also runs subtrees on
-  /// `ctx.pool`); bit-identical to the plain overload.
+  /// Cached variant: consults `ctx.cache` (whole-graph entries for kBdd,
+  /// every pivot for factoring); bit-identical to the plain overload.
   [[nodiscard]] double failure_probability(
       graph::NodeId sink, const rel::EvalContext& ctx,
       rel::ExactMethod method = rel::kDefaultExactMethod) const;

@@ -34,8 +34,9 @@ IlpArSize encode_ilp_ar(ArchitectureIlp& ilp, const IlpArOptions& options) {
   const int rows_before = ilp.model().num_rows();
   const int vars_before = ilp.model().num_variables();
 
-  const int walk_len =
-      options.walk_length > 0 ? options.walk_length : part.num_types();
+  // The connectivity indicators' walk-length bound is the paper's η_n with
+  // n = number of types.
+  const int walk_len = part.num_types();
   // Exact indicators: eq. (11) counts true connectivity, so one-sided
   // variables would let the solver under-claim redundancy (see header).
   ReachEncoder encoder(ilp, ReachHonesty::kExact);
@@ -143,7 +144,7 @@ IlpArReport run_ilp_ar(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
 
   Configuration config = ilp.extract(result);
   report.approx_failure = config.worst_approximate_failure();
-  const rel::EvalContext ctx{options.cache, options.pool, options.deadline};
+  const rel::EvalContext ctx{options.cache, options.deadline};
   report.exact_failure = config.worst_failure_probability(ctx, options.method);
   report.status = SynthesisStatus::kSuccess;
   report.configuration = std::move(config);

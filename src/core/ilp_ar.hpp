@@ -31,16 +31,12 @@ namespace archex::core {
 struct IlpArOptions {
   /// Reliability requirement r* applied to every sink's functional link.
   double target_failure = 1e-9;
-  /// Walk-length bound for the connectivity indicators; 0 selects the
-  /// paper's η_n with n = number of types.
-  int walk_length = 0;
   /// Accept a solver incumbent when limits trip before the optimality
   /// proof (cost may be suboptimal; r~ of the result is still verified).
   bool accept_incumbent = false;
   /// Optional acceleration of the final exact evaluation (and of future
   /// runs sharing the same cache, e.g. across a Pareto sweep).
   rel::EvalCache* cache = nullptr;
-  support::ThreadPool* pool = nullptr;
   /// Exact analyzer used to verify the synthesized architecture.
   rel::ExactMethod method = rel::kDefaultExactMethod;
   /// Absolute deadline for the final exact evaluation; overruns abort with

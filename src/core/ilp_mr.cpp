@@ -200,26 +200,23 @@ IlpMrReport run_ilp_mr(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
   Stopwatch analysis_watch;
   ConstraintLearner learner(ilp, options.encoding);
 
-  // Unified conflict store (DESIGN.md §4g): one nogood store shared by every
-  // SolveILP iteration. Sound because the loop only ever *adds* rows to the
-  // model (the set_nogood_store persistence contract), so an infeasibility
-  // conflict from iteration k still holds in iteration k+1. Reliability
-  // rejections are fed back as oracle nogoods below.
+  // Unified conflict store (DESIGN.md §4g): when the solver is a
+  // BranchAndBoundSolver with learning enabled, one nogood store is shared
+  // by every SolveILP iteration. Sound because the loop only ever *adds*
+  // rows to the model (the set_nogood_store persistence contract), so an
+  // infeasibility conflict from iteration k still holds in iteration k+1.
+  // Reliability rejections are fed back as oracle nogoods below.
   std::shared_ptr<ilp::NogoodStore> store;
-  if (options.unified_learning) {
-    if (auto* bnb = dynamic_cast<ilp::BranchAndBoundSolver*>(&solver);
-        bnb != nullptr && bnb->options().learning) {
-      if (options.store != nullptr) {
-        // Caller-persisted store (e.g. the archex_server's per-family
-        // registry): oracle nogoods from earlier runs prune this one.
-        store = options.store;
-      } else {
-        ilp::NogoodStoreOptions store_opt;
-        store_opt.max_nogoods = bnb->options().max_nogoods;
-        store = std::make_shared<ilp::NogoodStore>(store_opt);
-      }
-      bnb->set_nogood_store(store);
+  if (auto* bnb = dynamic_cast<ilp::BranchAndBoundSolver*>(&solver);
+      bnb != nullptr && bnb->options().learning) {
+    if (options.store != nullptr) {
+      // Caller-persisted store (e.g. the archex_server's per-family
+      // registry): oracle nogoods from earlier runs prune this one.
+      store = options.store;
+    } else {
+      store = std::make_shared<ilp::NogoodStore>();
     }
+    bnb->set_nogood_store(store);
   }
 
   // Successive iterates differ by a few components, so factoring recursions
@@ -229,7 +226,6 @@ IlpMrReport run_ilp_mr(ArchitectureIlp& ilp, ilp::IlpSolver& solver,
   rel::EvalCache local_cache;
   rel::EvalContext ctx;
   ctx.cache = options.cache != nullptr ? options.cache : &local_cache;
-  ctx.pool = options.pool;
   ctx.deadline = options.deadline;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {

@@ -59,27 +59,16 @@ struct IlpMrOptions {
   /// exact RELANALYSIS still gates acceptance); only cost optimality may
   /// degrade. Benchmarks enable this to bound their runtime.
   bool accept_incumbent = false;
-  /// Unified conflict store (DESIGN.md §4g): when the solver is a
-  /// BranchAndBoundSolver with learning enabled, install one shared nogood
-  /// store that persists across the solve/analyze/learn iterations — LP
-  /// infeasibility conflicts learned in iteration k keep pruning iteration
-  /// k+1's tree (LEARNCONS only ever adds rows, so they stay valid), and
-  /// every reliability rejection is recorded as an oracle nogood over the
-  /// rejected edge selection.
-  bool unified_learning = true;
   /// Memoization cache shared by every RELANALYSIS call. Null still
   /// memoizes *within* the run (successive iterates share most factoring
   /// pivot subproblems; a repeated iterate is a whole-graph hit for BDD);
   /// pass a cache to also share across runs.
   rel::EvalCache* cache = nullptr;
-  /// Optional worker pool for the factoring analyzer.
-  support::ThreadPool* pool = nullptr;
-  /// External nogood store to install instead of the run-private one
-  /// unified_learning would otherwise create (requires a learning
-  /// BranchAndBoundSolver, like unified_learning itself). Lets a long-lived
-  /// caller persist oracle nogoods across runs over the same problem family
-  /// — see NogoodStoreRegistry; the caller is responsible for purging
-  /// non-oracle entries before reuse.
+  /// External nogood store to install instead of the run-private one the
+  /// run would otherwise create (both only with a BranchAndBoundSolver that
+  /// has learning enabled). Lets a long-lived caller persist oracle nogoods
+  /// across runs over the same problem family — see NogoodStoreRegistry;
+  /// the caller is responsible for purging non-oracle entries before reuse.
   std::shared_ptr<ilp::NogoodStore> store;
   /// Absolute deadline for the RELANALYSIS calls; an analysis that overruns
   /// it aborts with rel::TimeoutError. The ILP side enforces its own budget
@@ -122,7 +111,7 @@ struct IlpMrReport {
   long solver_nogoods_learned = 0;
   long solver_nogood_prunings = 0;
   long solver_nogood_store_size = 0;
-  /// Reliability rejections recorded as oracle nogoods (unified_learning).
+  /// Reliability rejections recorded as oracle nogoods (learning solvers).
   long oracle_nogoods = 0;
   /// SolveILP calls that tripped a node/time limit instead of proving
   /// optimality or infeasibility. Nonzero means the solver-effort counters

@@ -26,7 +26,6 @@ ParetoFrontier sweep_pareto_frontier(
     ar.target_failure = target;
     ar.accept_incumbent = options.accept_incumbent;
     ar.cache = options.cache != nullptr ? options.cache : &local_cache;
-    ar.pool = options.pool;
     ar.method = options.method;
     ar.deadline = options.deadline;
     IlpArReport report = run_ilp_ar(ilp, solver, ar);

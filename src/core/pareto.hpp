@@ -45,8 +45,6 @@ struct ParetoOptions {
   /// by a few edges, so their factoring subproblems overlap heavily); pass a
   /// cache to also retain it across sweeps.
   rel::EvalCache* cache = nullptr;
-  /// Optional worker pool forwarded to each ILP-AR run.
-  support::ThreadPool* pool = nullptr;
   /// Exact analyzer used to score each sweep point (forwarded to ILP-AR).
   rel::ExactMethod method = rel::kDefaultExactMethod;
   /// Absolute deadline forwarded to each ILP-AR run's exact evaluation.

@@ -12,6 +12,12 @@ namespace {
 
 constexpr int kVersion = 1;
 
+/// Largest procedural EPS a request may ask for: g = 10 generators is
+/// |V| = 51, the paper's largest EPS. The template's candidate edges grow as
+/// about 4g^2, so an unbounded g lets one short line demand any amount of
+/// memory (and 5g + 1 overflows int).
+constexpr int kMaxEpsGenerators = 10;
+
 // ---- path-tracking decoder --------------------------------------------------
 
 /// Cursor over a parsed JSON value that remembers its path from the
@@ -400,8 +406,10 @@ SolveRequest request_from_json(const std::string& text,
 
   if (const auto eps = doc.find("eps_generators")) {
     request.eps_generators = eps->integer();
-    if (*request.eps_generators < 1) {
-      eps->fail("eps_generators must be >= 1");
+    if (*request.eps_generators < 1 ||
+        *request.eps_generators > kMaxEpsGenerators) {
+      eps->fail("eps_generators must lie in [1, " +
+                std::to_string(kMaxEpsGenerators) + "]");
     }
   }
   if (const auto tmpl = doc.find("template")) {

@@ -30,7 +30,8 @@
 //   "target_failure": 1e-4,        // mr | ar
 //   "lazy": false,                 // optional, mr only
 //   "method": "factoring",         // optional exact analyzer; default "bdd"
-//   "template": { ...template doc... },  // or "eps_generators": N
+//   "template": { ...template doc... },  // or "eps_generators": N,
+//                                         // N in [1, 10]
 //   "pareto": {"initial_target": 1e-2, "tighten_factor": 0.5,
 //              "max_points": 8}    // optional, pareto only
 // }

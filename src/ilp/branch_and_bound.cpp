@@ -93,6 +93,10 @@ constexpr double kInfObj = std::numeric_limits<double>::infinity();
 constexpr double kFeasTol = 1e-5;
 constexpr double kImproveTol = 1e-9;
 
+/// LP re-solves spent per infeasibility conflict probing whether a
+/// certificate-supported literal is nonetheless redundant.
+constexpr int kMaxNogoodProbes = 4;
+
 /// Lower the model to an LP and presolve it (or wrap it in an identity
 /// reduction when presolve is off). Branching and incumbent checks all
 /// happen in the model's variable space via pre.postsolve()/var_map.
@@ -700,8 +704,8 @@ class Worker {
   /// z_j > 0 (the proof leans on the upper bound) or |z_j| * (lo - root_lo)
   /// when z_j < 0; a branch the certificate ignores is dropped outright,
   /// and further literals are dropped greedily while the margin covers
-  /// their damage. Conflicts still wider than max_nogood_literals spend up
-  /// to max_nogood_probes LP re-solves testing certificate-supported
+  /// their damage. Conflicts still wider than kMaxNogoodLiterals spend up
+  /// to kMaxNogoodProbes LP re-solves testing certificate-supported
   /// literals for redundancy. The result persists across solves: the rows
   /// the proof uses (model rows, presolve tightenings, learncons rows) are
   /// all valid for every integral feasible point of the model, and later
@@ -744,10 +748,10 @@ class Worker {
     }
 
     if (static_cast<int>(keep.size()) >
-        sh_.opt.max_nogood_literals + sh_.opt.max_nogood_probes) {
+        kMaxNogoodLiterals + kMaxNogoodProbes) {
       return;  // cannot reach the cap even if every probe succeeds
     }
-    if (static_cast<int>(keep.size()) > sh_.opt.max_nogood_literals) {
+    if (static_cast<int>(keep.size()) > kMaxNogoodLiterals) {
       if (!probe_drops(keep)) return;
     }
     install_nogood(keep, NogoodSource::kInfeasible);
@@ -777,8 +781,8 @@ class Worker {
     }
     int probes = 0;
     std::size_t next = 0;
-    while (next < keep.size() && probes < sh_.opt.max_nogood_probes &&
-           static_cast<int>(keep.size()) > sh_.opt.max_nogood_literals) {
+    while (next < keep.size() && probes < kMaxNogoodProbes &&
+           static_cast<int>(keep.size()) > kMaxNogoodLiterals) {
       const ConflictLit lit = keep[next];
       const std::pair<double, double> saved = {engine.col_lo(lit.col),
                                                engine.col_up(lit.col)};
@@ -802,7 +806,7 @@ class Worker {
     for (const auto& [col, box] : touched) {
       engine.set_variable_bounds(col, box.first, box.second);
     }
-    return static_cast<int>(keep.size()) <= sh_.opt.max_nogood_literals &&
+    return static_cast<int>(keep.size()) <= kMaxNogoodLiterals &&
            !sh_.aborted();
   }
 
@@ -856,7 +860,7 @@ class Worker {
         keep.push_back(lit);
       }
     }
-    if (static_cast<int>(keep.size()) > sh_.opt.max_nogood_literals) return;
+    if (static_cast<int>(keep.size()) > kMaxNogoodLiterals) return;
     install_nogood(keep, NogoodSource::kDominance);
   }
 
@@ -865,12 +869,10 @@ class Worker {
   [[nodiscard]] BranchChoice pick(const std::vector<double>& full_x) {
     if (sh_.pseudo != nullptr) {
       const std::lock_guard<std::mutex> lock(sh_.pseudo_mutex);
-      return select_branch_variable(sh_.model, sh_.integral, sh_.opt.int_tol,
-                                    full_x, sh_.pseudo.get(),
-                                    sh_.opt.pseudocost_reliability);
+      return select_branch_variable(sh_.model, sh_.integral, full_x,
+                                    sh_.pseudo.get());
     }
-    return select_branch_variable(sh_.model, sh_.integral, sh_.opt.int_tol,
-                                  full_x, nullptr, 0);
+    return select_branch_variable(sh_.model, sh_.integral, full_x, nullptr);
   }
 
   /// One node: solve the relaxation, prune or branch. Bound changes are
@@ -1216,9 +1218,7 @@ IlpResult BranchAndBoundSolver::solve(const Model& model) {
   if (!options_.learning) return run_search(model, options_, nullptr);
   if (store_ != nullptr) return run_search(model, options_, store_.get());
   // No external store installed: learn within this solve only.
-  NogoodStoreOptions store_opt;
-  store_opt.max_nogoods = options_.max_nogoods;
-  NogoodStore local(store_opt);
+  NogoodStore local;
   return run_search(model, options_, &local);
 }
 

@@ -24,6 +24,11 @@
 
 namespace archex::ilp {
 
+/// Integrality tolerance on the LP relaxation values.
+inline constexpr double kIntTol = 1e-6;
+/// Observations per direction before a variable's pseudocosts are trusted.
+inline constexpr long kPseudocostReliability = 1;
+
 /// Per-variable, per-direction pseudocost record.
 struct PseudocostEntry {
   double down_sum = 0.0;
@@ -88,16 +93,15 @@ struct BranchChoice {
 /// fractional wins. Pass `pseudo == nullptr` to force the historical
 /// most-fractional rule.
 [[nodiscard]] inline BranchChoice select_branch_variable(
-    const Model& model, const std::vector<int>& integral, double int_tol,
-    const std::vector<double>& x, const PseudocostTable* pseudo,
-    long reliability) {
+    const Model& model, const std::vector<int>& integral,
+    const std::vector<double>& x, const PseudocostTable* pseudo) {
   // Pass 1: highest priority class containing a fractional variable.
   int top_priority = std::numeric_limits<int>::min();
   bool any = false;
   for (const int j : integral) {
     const double v = x[static_cast<std::size_t>(j)];
     const double frac = std::min(v - std::floor(v), std::ceil(v) - v);
-    if (frac <= int_tol) continue;
+    if (frac <= kIntTol) continue;
     any = true;
     top_priority = std::max(top_priority, model.branch_priority(Var{j}));
   }
@@ -114,13 +118,13 @@ struct BranchChoice {
     const double v = x[static_cast<std::size_t>(j)];
     const double down = v - std::floor(v);
     const double frac = std::min(down, 1.0 - down);
-    if (frac <= int_tol) continue;
+    if (frac <= kIntTol) continue;
     if (model.branch_priority(Var{j}) != top_priority) continue;
     if (frac > best_frac) {
       best_frac = frac;
       best_frac_var = j;
     }
-    if (pseudo != nullptr && pseudo->reliable(j, reliability)) {
+    if (pseudo != nullptr && pseudo->reliable(j, kPseudocostReliability)) {
       const double s = pseudo->score(j, down, 1.0 - down);
       if (s > best_pc) {
         best_pc = s;

@@ -9,6 +9,10 @@ namespace archex::ilp {
 
 namespace {
 
+/// Multiplier decay() applies to every activity; the solver calls it once
+/// per solve.
+constexpr double kActivityDecay = 0.5;
+
 [[nodiscard]] std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
@@ -43,9 +47,8 @@ bool nogood_matches(const Nogood& nogood, const std::vector<double>& lo,
   return true;
 }
 
-NogoodStore::NogoodStore(NogoodStoreOptions options) : opt_(options) {
-  if (opt_.max_nogoods < 1) opt_.max_nogoods = 1;
-}
+NogoodStore::NogoodStore(int max_nogoods)
+    : max_nogoods_(std::max(1, max_nogoods)) {}
 
 int NogoodStore::insert(Nogood nogood) {
   const std::uint64_t sig = nogood_signature(nogood);
@@ -68,7 +71,7 @@ int NogoodStore::insert(Nogood nogood) {
   index_.emplace(sig, index);
   ++live_;
   ++stats_.inserted;
-  if (live_ > opt_.max_nogoods) evict_locked();
+  if (live_ > max_nogoods_) evict_locked();
   return index;
 }
 
@@ -81,7 +84,7 @@ void NogoodStore::bump(int index) {
 
 void NogoodStore::decay() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& entry : entries_) entry.activity *= opt_.activity_decay;
+  for (Entry& entry : entries_) entry.activity *= kActivityDecay;
 }
 
 void NogoodStore::purge_transient() {
@@ -155,7 +158,7 @@ void NogoodStore::kill_entry(std::size_t index) {
 
 void NogoodStore::evict_locked() {
   // Activity sweep: keep the top ~3/4 of the cap, oracle entries exempt.
-  const int target = std::max(1, opt_.max_nogoods * 3 / 4);
+  const int target = std::max(1, max_nogoods_ * 3 / 4);
   std::vector<std::pair<double, std::size_t>> victims;
   victims.reserve(static_cast<std::size_t>(live_));
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -181,7 +184,7 @@ std::shared_ptr<NogoodStore> NogoodStoreRegistry::acquire(std::uint64_t key) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& slot = stores_[key];
-    if (!slot) slot = std::make_shared<NogoodStore>(opt_);
+    if (!slot) slot = std::make_shared<NogoodStore>();
     // Only the registry holds the store, so no solve keeps an entry index
     // into it, and none can take the store before the lock is released.
     if (slot.use_count() == 1) slot->compact();

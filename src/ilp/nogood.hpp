@@ -70,14 +70,13 @@ struct Nogood {
                                   const std::vector<double>& up,
                                   double tol = 1e-9);
 
-struct NogoodStoreOptions {
-  /// Live-entry cap; exceeding it evicts the lowest-activity non-oracle
-  /// entries down to ~3/4 of the cap.
-  int max_nogoods = 20000;
-  /// Multiplier applied to every activity by decay(); the solver calls it
-  /// once per solve so recently useful entries outrank stale ones.
-  double activity_decay = 0.5;
-};
+/// Widest nogood the branch & bound installs: conflicts that stay wider
+/// after minimization are discarded (long nogoods almost never fire again
+/// and slow every node check).
+inline constexpr int kMaxNogoodLiterals = 16;
+
+/// Default live-entry cap of a NogoodStore.
+inline constexpr int kMaxNogoods = 20000;
 
 /// Thread-safe, activity-scored nogood store shared by the B&B workers and,
 /// through BranchAndBoundSolver::set_nogood_store, by consecutive ILP-MR /
@@ -85,7 +84,9 @@ struct NogoodStoreOptions {
 /// iteration k+1's tree).
 class NogoodStore {
  public:
-  explicit NogoodStore(NogoodStoreOptions options = {});
+  /// `max_nogoods` caps the live entries; exceeding it evicts the
+  /// lowest-activity non-oracle entries down to ~3/4 of the cap.
+  explicit NogoodStore(int max_nogoods = kMaxNogoods);
 
   /// Insert with signature dedup. Returns the entry's stable index when the
   /// nogood is new, or -1 when an identical live entry exists (the existing
@@ -96,7 +97,8 @@ class NogoodStore {
   /// indices of evicted entries are accepted and ignored).
   void bump(int index);
 
-  /// Age all activities by options.activity_decay (solve boundary).
+  /// Halve every activity (solve boundary), so recently useful entries
+  /// outrank stale ones.
   void decay();
 
   /// Drop every kDominance entry: incumbent-relative nogoods do not survive
@@ -146,7 +148,7 @@ class NogoodStore {
   void kill_entry(std::size_t index);
   void evict_locked();
 
-  NogoodStoreOptions opt_;
+  int max_nogoods_;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   /// signature -> entry index, live entries only.
@@ -167,9 +169,6 @@ class NogoodStore {
 /// per entry every earlier request learned. Thread-safe.
 class NogoodStoreRegistry {
  public:
-  explicit NogoodStoreRegistry(NogoodStoreOptions options = {})
-      : opt_(options) {}
-
   /// Fetch (creating on first use) the store for `key`, purged down to its
   /// oracle entries and ready for a fresh request's base model.
   [[nodiscard]] std::shared_ptr<NogoodStore> acquire(std::uint64_t key);
@@ -178,7 +177,6 @@ class NogoodStoreRegistry {
   [[nodiscard]] std::size_t families() const;
 
  private:
-  NogoodStoreOptions opt_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<NogoodStore>> stores_;
 };

@@ -134,8 +134,6 @@ struct BranchAndBoundOptions {
   /// sequence, statistics and solution bit-for-bit — at the price of no
   /// parallel speedup. Ignored when threads <= 1.
   bool deterministic = false;
-  /// Integrality tolerance on the LP relaxation values.
-  double int_tol = 1e-6;
   /// Attempt a rounding heuristic at the root to seed the incumbent.
   bool root_rounding_heuristic = true;
   /// Shrink the LP with lp::presolve() before the search (fixed-variable
@@ -150,8 +148,6 @@ struct BranchAndBoundOptions {
   /// falling back to most-fractional until a variable has observations in
   /// both directions. Statistics are shared across parallel workers.
   bool pseudocost = true;
-  /// Observations per direction before a variable's pseudocosts are trusted.
-  int pseudocost_reliability = 1;
   /// Fix 0/1 columns whose root reduced cost proves the opposite bound
   /// cannot beat the incumbent, re-checked at every incumbent improvement;
   /// fixings propagate to all workers as a shared prune filter.
@@ -167,14 +163,6 @@ struct BranchAndBoundOptions {
   /// (ilp/nogood.hpp) and checked before every node LP. Deterministic mode
   /// is preserved bit-for-bit.
   bool learning = true;
-  /// Discard conflicts that stay wider than this after minimization (long
-  /// nogoods almost never fire again and slow every node check).
-  int max_nogood_literals = 16;
-  /// LP re-solves spent per infeasibility conflict probing whether a
-  /// certificate-supported literal is nonetheless redundant.
-  int max_nogood_probes = 4;
-  /// Live-entry cap of the nogood store (lowest-activity eviction).
-  int max_nogoods = 20000;
 
   /// Options forwarded to the underlying simplex engine (e.g. dense_basis
   /// to run the dense differential-testing oracle).

@@ -15,6 +15,10 @@
 //  * dense (oracle): the original explicit m x m basis inverse with O(m^2)
 //    product-form updates and full-scan pricing, kept bit-for-bit as the
 //    slow reference the differential tests compare against.
+//
+// The tolerances and the refactorization schedule are fixed constants (top
+// of the detail namespace); SimplexOptions carries only the settings the
+// differential and stress tests vary.
 #include "lp/engine.hpp"
 
 #include <algorithm>
@@ -34,6 +38,26 @@ namespace detail {
 
 namespace {
 enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper, kFree };
+
+/// Feasibility / optimality tolerance.
+constexpr double kTol = 1e-9;
+/// Rebuild the basis representation from scratch every this many pivots:
+/// drift control only, kept rare (on the sparse path the eta-growth bounds
+/// refactorize long before; the dense oracle's update and refactorization
+/// cost O(m^2) and O(m^3)).
+constexpr int kRefactorEvery = 4096;
+/// Recompute basic values from the nonbasic assignment this often, to bound
+/// error accumulation between refactorizations.
+constexpr int kRecomputeEvery = 256;
+/// Consecutive non-improving pivots before switching to Bland's
+/// anti-cycling rule.
+constexpr int kBlandAfter = 256;
+/// Sparse basis: refactorize when the eta-file nonzeros exceed this
+/// multiple of the LU factor nonzeros plus m (growth/fill control).
+constexpr double kEtaGrowth = 2.0;
+/// Refactorize when periodically recomputing the basic values moves one of
+/// them by more than this (numeric-drift trigger).
+constexpr double kDriftTol = 1e-6;
 }  // namespace
 
 class EngineImpl {
@@ -43,9 +67,8 @@ class EngineImpl {
     n_ = problem.num_variables();
     m_ = problem.num_constraints();
     snapshot(problem);
-    max_iter_ = opt_.max_iterations > 0
-                    ? opt_.max_iterations
-                    : 4000 + 60L * (static_cast<long>(n_) + m_);
+    // Pivot cap across both phases, scaled with the problem size.
+    max_iter_ = 4000 + 60L * (static_cast<long>(n_) + m_);
   }
 
   void set_variable_bounds(int var, double lo, double up) {
@@ -238,21 +261,21 @@ class EngineImpl {
         for (const auto& [row, coef] : cols_[idx(j)]) {
           d -= y[static_cast<std::size_t>(row)] * coef;
         }
-        if (st == VarState::kAtLower && d < -opt_.tol) {
+        if (st == VarState::kAtLower && d < -kTol) {
           if (up_[idx(j)] == kInf) {
             ++stats_.restore_fallbacks;
             return solve_from_scratch();
           }
           state_[idx(j)] = VarState::kAtUpper;
           x_[idx(j)] = up_[idx(j)];
-        } else if (st == VarState::kAtUpper && d > opt_.tol) {
+        } else if (st == VarState::kAtUpper && d > kTol) {
           if (lo_[idx(j)] == -kInf) {
             ++stats_.restore_fallbacks;
             return solve_from_scratch();
           }
           state_[idx(j)] = VarState::kAtLower;
           x_[idx(j)] = lo_[idx(j)];
-        } else if (st == VarState::kFree && std::abs(d) > opt_.tol) {
+        } else if (st == VarState::kFree && std::abs(d) > kTol) {
           ++stats_.restore_fallbacks;
           return solve_from_scratch();
         }
@@ -447,8 +470,8 @@ class EngineImpl {
       const double lo = lo_[idx(s)];
       const double up = up_[idx(s)];
       double target = v;
-      if (v < lo - opt_.tol) target = lo;
-      else if (v > up + opt_.tol) target = up;
+      if (v < lo - kTol) target = lo;
+      else if (v > up + kTol) target = up;
       else continue;
 
       const double alpha = (target > v) ? 1.0 : -1.0;
@@ -532,7 +555,7 @@ class EngineImpl {
       }
       if (iterations_ >= max_iter_) return SolveStatus::kIterationLimit;
 
-      const bool bland = stalled >= opt_.bland_after;
+      const bool bland = stalled >= kBlandAfter;
       int entering = -1;
       int dir = 0;
       if (!price(phase1, bland, entering, dir)) return SolveStatus::kOptimal;
@@ -647,18 +670,18 @@ class EngineImpl {
       int cand_dir = 0;
       double violation = 0.0;
       if ((st == VarState::kAtLower || st == VarState::kFree) &&
-          d < -opt_.tol) {
+          d < -kTol) {
         cand_dir = +1;
         violation = -d;
       } else if ((st == VarState::kAtUpper || st == VarState::kFree) &&
-                 d > opt_.tol) {
+                 d > kTol) {
         cand_dir = -1;
         violation = d;
       }
       if (cand_dir == 0) return false;
       // Devex: maximize d^2 / weight rather than the raw violation.
       const double score = violation * violation / devex_[idx(j)];
-      if (score > best_score && violation > opt_.tol) {
+      if (score > best_score && violation > kTol) {
         best_score = score;
         entering = j;
         dir = cand_dir;
@@ -696,9 +719,7 @@ class EngineImpl {
     // last cursor, stopping once enough improving candidates were seen.
     // Only a full unfruitful sweep declares optimality, so the stopping
     // rule affects pivot order, never correctness.
-    const int section = opt_.pricing_section > 0
-                            ? opt_.pricing_section
-                            : std::max(64, total_ / 8);
+    const int section = std::max(64, total_ / 8);  // columns per section
     int found = 0;
     int scanned = 0;
     int j = price_cursor_ >= total_ ? 0 : price_cursor_;
@@ -765,8 +786,8 @@ class EngineImpl {
       for (const auto& [row, coef] : cols_[idx(j)]) {
         d -= y[static_cast<std::size_t>(row)] * coef;
       }
-      if ((st != VarState::kAtUpper && d < -opt_.tol) ||
-          (st != VarState::kAtLower && d > opt_.tol)) {
+      if ((st != VarState::kAtUpper && d < -kTol) ||
+          (st != VarState::kAtLower && d > kTol)) {
         return false;
       }
     }
@@ -1114,13 +1135,13 @@ class EngineImpl {
   [[nodiscard]] bool maintain_basis(int& since_refactor) {
     ++since_refactor;
     bool refactor = false;
-    if (since_refactor >= opt_.refactor_every) {
+    if (since_refactor >= kRefactorEvery) {
       refactor = true;
       ++stats_.refactor_periodic;
     } else if (!use_dense_) {
       if ((opt_.max_eta > 0 && factor_.eta_count() >= opt_.max_eta) ||
           factor_.eta_nonzeros() >
-              opt_.eta_growth *
+              kEtaGrowth *
                   (factor_.lu_nonzeros() + static_cast<std::size_t>(m_))) {
         refactor = true;
         ++stats_.refactor_eta;
@@ -1131,9 +1152,9 @@ class EngineImpl {
       since_refactor = 0;
       return true;
     }
-    if (since_refactor % opt_.recompute_every == 0) {
+    if (since_refactor % kRecomputeEvery == 0) {
       const double drift = recompute_basics();
-      if (!use_dense_ && drift > opt_.drift_tol) {
+      if (!use_dense_ && drift > kDriftTol) {
         ++stats_.refactor_drift;
         if (!refactorize()) return false;
         since_refactor = 0;

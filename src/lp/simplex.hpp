@@ -42,25 +42,10 @@ enum class SolveStatus {
 
 [[nodiscard]] std::string to_string(SolveStatus status);
 
+/// Engine settings that tests vary. The tolerances, refactorization and
+/// pricing schedule every other caller runs with are constants in
+/// engine.cpp.
 struct SimplexOptions {
-  /// Hard cap on simplex pivots across both phases; <=0 picks an automatic
-  /// cap that scales with problem size.
-  long max_iterations = 0;
-  /// Feasibility / optimality tolerance.
-  double tol = 1e-9;
-  /// Rebuild the basis representation from scratch every this many pivots:
-  /// drift control only, keep it rare (on the sparse path the eta-growth
-  /// bounds below refactorize long before; the dense oracle's update and
-  /// refactorization cost O(m^2) and O(m^3)). Basic values are recomputed
-  /// (cheaply) every `recompute_every` pivots in between.
-  int refactor_every = 4096;
-  /// Recompute basic values from the nonbasic assignment this often, to
-  /// bound error accumulation between refactorizations.
-  int recompute_every = 256;
-  /// Number of consecutive non-improving pivots before switching to
-  /// Bland's anti-cycling rule.
-  int bland_after = 256;
-
   /// Keep the basis inverse as an explicit dense matrix (the pre-sparse
   /// engine) instead of the sparse LU + eta-file representation. Every
   /// FTRAN/BTRAN/update is then O(m^2); retained as the slow, simple
@@ -68,19 +53,10 @@ struct SimplexOptions {
   bool dense_basis = false;
   /// Sparse basis: refactorize once the eta file holds this many updates.
   int max_eta = 64;
-  /// Sparse basis: refactorize when the eta-file nonzeros exceed this
-  /// multiple of the LU factor nonzeros (growth/fill control).
-  double eta_growth = 2.0;
-  /// Refactorize when periodically recomputing the basic values moves one
-  /// of them by more than this (numeric-drift trigger).
-  double drift_tol = 1e-6;
   /// Partial pricing: stop the scan once this many improving candidates
   /// have been collected (a full sweep still proves optimality). <= 0
   /// restores the full-scan Devex pricing on the sparse path too.
   int pricing_candidates = 8;
-  /// Columns per partial-pricing section; 0 picks an automatic size that
-  /// scales with the column count.
-  int pricing_section = 0;
 };
 
 struct Solution {

@@ -155,8 +155,7 @@ std::vector<NodeId> make_order(const Digraph& g,
                                const std::vector<bool>& relevant,
                                BddOrdering ordering) {
   switch (ordering) {
-    case BddOrdering::kAuto:
-    case BddOrdering::kTopological: {
+    case BddOrdering::kAuto: {
       std::vector<NodeId> order = topological_order(g, relevant);
       if (order.empty()) order = bfs_level_order(g, sources, relevant);
       return order;

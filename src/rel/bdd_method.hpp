@@ -39,11 +39,9 @@ namespace archex::rel {
 /// the dominant cost factor of any BDD method; bench_rel_methods --order
 /// ablates these on the EPS templates.
 enum class BddOrdering {
-  /// Topological order of the relevant subgraph when it is acyclic,
-  /// BFS-level order otherwise (the default).
+  /// Kahn topological order (min-id tie-break) of the relevant subgraph
+  /// when it is acyclic, BFS-level order otherwise (the default).
   kAuto,
-  /// Kahn topological order; falls back to BFS levels on cyclic graphs.
-  kTopological,
   /// Breadth-first levels from the sources (ties broken by node id) —
   /// works uniformly for cyclic graphs.
   kBfsLevel,

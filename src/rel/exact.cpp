@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <utility>
 
 #include "rel/bdd_method.hpp"
 #include "support/check.hpp"
@@ -47,7 +46,7 @@ class DeadlinePoller {
 /// compaction maps sorted adjacency to sorted adjacency, hence BFS orders,
 /// pivot choices and the floating-point combination order all coincide with
 /// an evaluation of the canonicalized subgraph. That invariant is what makes
-/// the cache bit-exact and thread-schedule independent.
+/// the cache bit-exact and independent of which thread filled an entry.
 Digraph sorted_adjacency_copy(const Digraph& g) {
   Digraph out(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
@@ -70,7 +69,6 @@ class Factoring {
         sink_(sink),
         p_(p),
         cache_(cache),
-        deadline_(deadline),
         poller_(deadline) {
     state_.assign(static_cast<std::size_t>(g.num_nodes()),
                   NodeState::kUndecided);
@@ -80,116 +78,7 @@ class Factoring {
     }
   }
 
-  /// Continue from a mid-recursion conditioning state (parallel subtrees).
-  Factoring(const Digraph& g, const std::vector<NodeId>& sources, NodeId sink,
-            const std::vector<double>& p, EvalCache* cache,
-            const Deadline& deadline, std::vector<NodeState> state)
-      : g_(g),
-        sources_(sources),
-        sink_(sink),
-        p_(p),
-        cache_(cache),
-        deadline_(deadline),
-        poller_(deadline),
-        state_(std::move(state)) {}
-
   double run() { return recurse(); }
-
-  /// Expand the top of the recursion tree breadth-first into independent
-  /// subproblems, evaluate them on `pool`, and recombine in the exact
-  /// association order the serial recursion would have used — the result is
-  /// bit-identical to run() for any thread count.
-  double run_parallel(support::ThreadPool& pool) {
-    struct TreeNode {
-      std::vector<NodeState> state;  // leaves only (moved out on expansion)
-      double pv = 0.0;               // pivot probability (inner nodes)
-      int down = -1;
-      int up = -1;
-      double value = 0.0;
-      bool resolved = false;
-      bool has_key = false;
-      EvalKey key;  // kept to publish inner-node values to the cache
-    };
-
-    std::vector<TreeNode> tree;
-    std::deque<std::size_t> open;  // unexpanded leaves, FIFO -> balanced
-    tree.emplace_back();
-    tree.front().state = state_;
-    open.push_back(0);
-
-    const auto target_leaves =
-        static_cast<std::size_t>(4 * pool.num_threads());
-    while (!open.empty() && open.size() < target_leaves &&
-           tree.size() < 8 * target_leaves) {
-      poller_.poll();
-      const std::size_t id = open.front();
-      open.pop_front();
-      state_ = tree[id].state;
-
-      if (cache_ != nullptr &&
-          state_[static_cast<std::size_t>(sink_)] != NodeState::kDown) {
-        tree[id].key = make_key();
-        tree[id].has_key = true;
-        if (const auto hit = cache_->lookup(tree[id].key)) {
-          tree[id].value = *hit;
-          tree[id].resolved = true;
-          continue;
-        }
-      }
-
-      const Reach r = reachability();
-      const auto sink_i = static_cast<std::size_t>(sink_);
-      if (state_[sink_i] == NodeState::kDown || !r.possible[sink_i] ||
-          r.certain[sink_i]) {
-        tree[id].value = r.certain[sink_i] ? 0.0 : 1.0;
-        tree[id].resolved = true;
-        if (tree[id].has_key) cache_->store(tree[id].key, tree[id].value);
-        continue;
-      }
-
-      const NodeId pivot = pick_pivot(r);
-      ARCHEX_ASSERT(pivot >= 0,
-                    "no pivot despite undecided connectivity state");
-      const auto pi = static_cast<std::size_t>(pivot);
-      tree[id].pv = p_[pi];
-      tree[id].down = static_cast<int>(tree.size());
-      tree[id].up = static_cast<int>(tree.size()) + 1;
-      tree.emplace_back();
-      tree.emplace_back();
-      tree[static_cast<std::size_t>(tree[id].down)].state = tree[id].state;
-      tree[static_cast<std::size_t>(tree[id].down)].state[pi] =
-          NodeState::kDown;
-      tree[static_cast<std::size_t>(tree[id].up)].state =
-          std::move(tree[id].state);
-      tree[static_cast<std::size_t>(tree[id].up)].state[pi] = NodeState::kUp;
-      open.push_back(static_cast<std::size_t>(tree[id].down));
-      open.push_back(static_cast<std::size_t>(tree[id].up));
-    }
-
-    // Evaluate the pending leaves concurrently; the shared cache is safe
-    // because every stored value is a pure function of its key.
-    const std::vector<std::size_t> pending(open.begin(), open.end());
-    pool.parallel_for(0, pending.size(), [&](std::size_t i) {
-      TreeNode& leaf = tree[pending[i]];
-      Factoring sub(g_, sources_, sink_, p_, cache_, deadline_,
-                    std::move(leaf.state));
-      leaf.value = sub.run();
-      leaf.resolved = true;
-    });
-
-    // Children always follow their parent in `tree`, so one reverse sweep
-    // resolves every inner node with the serial combination order.
-    for (std::size_t i = tree.size(); i-- > 0;) {
-      TreeNode& node = tree[i];
-      if (node.resolved) continue;
-      node.value =
-          node.pv * tree[static_cast<std::size_t>(node.down)].value +
-          (1.0 - node.pv) * tree[static_cast<std::size_t>(node.up)].value;
-      node.resolved = true;
-      if (node.has_key) cache_->store(node.key, node.value);
-    }
-    return tree.front().value;
-  }
 
  private:
   /// BFS over nodes that are not Down; returns per-node flags reachable from
@@ -347,7 +236,6 @@ class Factoring {
   NodeId sink_;
   const std::vector<double>& p_;
   EvalCache* cache_ = nullptr;
-  Deadline deadline_;
   DeadlinePoller poller_;
   std::vector<NodeState> state_;
 };
@@ -368,7 +256,7 @@ void validate(const Digraph& g, const std::vector<NodeId>& sources,
 
 /// Normalize and factor: the normalized graph plus sorted duplicate-free
 /// sources pin down the evaluation order, making the result a pure function
-/// of the canonical problem (the cache/parallel determinism contract).
+/// of the canonical problem (the cache determinism contract).
 double run_factoring(const Digraph& g, const std::vector<NodeId>& sources,
                      NodeId sink, const std::vector<double>& p,
                      const EvalContext& ctx) {
@@ -377,9 +265,6 @@ double run_factoring(const Digraph& g, const std::vector<NodeId>& sources,
   std::sort(ordered.begin(), ordered.end());
   ordered.erase(std::unique(ordered.begin(), ordered.end()), ordered.end());
   Factoring factoring(normalized, ordered, sink, p, ctx.cache, ctx.deadline);
-  if (ctx.pool != nullptr && ctx.pool->num_threads() > 1) {
-    return factoring.run_parallel(*ctx.pool);
-  }
   return factoring.run();
 }
 

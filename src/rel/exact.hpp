@@ -32,7 +32,6 @@
 #include "graph/partition.hpp"
 #include "rel/eval_cache.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace archex::rel {
 
@@ -68,18 +67,15 @@ struct EvalResult {
   EvalStatus status = EvalStatus::kOk;
 };
 
-/// Optional acceleration context threaded through the exact analyzers.
-/// All members may be defaulted (plain serial evaluation). Only the
-/// factoring and BDD methods use cache/pool; the determinism contract
-/// (DESIGN.md) guarantees that any combination of cache state and thread
-/// count produces bit-identical results for the same inputs and method.
+/// Optional context threaded through the exact analyzers. All members may
+/// be defaulted (plain evaluation). The determinism contract (DESIGN.md)
+/// guarantees that any cache state, shared by any number of threads,
+/// produces bit-identical results for the same inputs and method.
 struct EvalContext {
   /// Memoizes every pivot subproblem of the factoring recursion (and
   /// whole-graph results of the BDD method), keyed by canonical form.
   /// Shareable across calls, iterates, and threads.
   EvalCache* cache = nullptr;
-  /// Evaluates independent factoring subtrees concurrently.
-  support::ThreadPool* pool = nullptr;
   /// Wall-clock deadline polled inside the factoring recursion and the BDD
   /// compilation, so
   /// adversarial graphs abort promptly instead of hanging. nullopt (the
@@ -95,9 +91,8 @@ struct EvalContext {
     graph::NodeId sink, const std::vector<double>& p,
     ExactMethod method = kDefaultExactMethod);
 
-/// Accelerated variant: consults/extends `ctx.cache` at every factoring
-/// pivot subproblem (whole-graph granularity for kBdd) and evaluates
-/// independent subtrees on `ctx.pool`. Throws TimeoutError when
+/// Cached variant: consults/extends `ctx.cache` at every factoring pivot
+/// subproblem (whole-graph granularity for kBdd). Throws TimeoutError when
 /// `ctx.deadline` trips.
 [[nodiscard]] double failure_probability(
     const graph::Digraph& g, const std::vector<graph::NodeId>& sources,

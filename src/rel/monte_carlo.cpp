@@ -151,8 +151,7 @@ MonteCarloResult monte_carlo_failure_sharded(
 
   const auto shards = static_cast<std::size_t>(options.num_shards);
   // Per-shard sample counts and RNG seeds are fixed up front: the
-  // decomposition — and therefore the estimate — is independent of who
-  // executes which shard.
+  // decomposition, and therefore the estimate, depends only on the options.
   std::vector<long> shard_samples(shards);
   const long base = options.samples / options.num_shards;
   const long extra = options.samples % options.num_shards;
@@ -166,24 +165,15 @@ MonteCarloResult monte_carlo_failure_sharded(
   const std::vector<double> q =
       biased ? biased_distribution(p, options.bias) : std::vector<double>{};
 
-  std::vector<Tally> tallies(shards);
-  const auto run_shard = [&](std::size_t i) {
-    if (shard_samples[i] == 0) return;
-    Rng rng(shard_seeds[i]);
-    tallies[i] = run_trials(g, sources, sink, p, q, biased, shard_samples[i],
-                            rng);
-  };
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(0, shards, run_shard);
-  } else {
-    for (std::size_t i = 0; i < shards; ++i) run_shard(i);
-  }
-
-  // Merge in ascending shard order (bit-reproducible for any thread count).
+  // Run and merge in ascending shard order.
   long failures = 0;
   double sum_w = 0.0;
   double sum_w2 = 0.0;
-  for (const Tally& tally : tallies) {
+  for (std::size_t i = 0; i < shards; ++i) {
+    if (shard_samples[i] == 0) continue;
+    Rng rng(shard_seeds[i]);
+    const Tally tally = run_trials(g, sources, sink, p, q, biased,
+                                   shard_samples[i], rng);
     failures += tally.failures;
     sum_w += tally.sum_w;
     sum_w2 += tally.sum_w2;

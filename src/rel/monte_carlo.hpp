@@ -11,7 +11,6 @@
 
 #include "graph/digraph.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace archex::rel {
 
@@ -22,21 +21,17 @@ struct MonteCarloResult {
   long samples = 0;
 };
 
-/// Configuration of the sharded (optionally parallel) estimator.
+/// Configuration of the sharded estimator.
 ///
 /// Determinism contract: the estimate is a pure function of (samples, seed,
-/// num_shards, bias) — the thread count only changes who evaluates which
-/// shard. Each shard owns an independent RNG stream derived from `seed` via
-/// SplitMix64, and shard results are merged in ascending shard order, so a
-/// `pool` of any size reproduces the serial (`pool == nullptr`) result
-/// bit for bit.
+/// num_shards, bias). Each shard owns an independent RNG stream derived
+/// from `seed` via SplitMix64, and the shards run and merge in ascending
+/// shard order.
 struct MonteCarloOptions {
   long samples = 100000;
   std::uint64_t seed = 0x5eed5eed5eed5eedULL;
   /// Fixed work decomposition; shards beyond `samples` draw nothing.
   int num_shards = 64;
-  /// Null runs the shards sequentially on the calling thread.
-  support::ThreadPool* pool = nullptr;
   /// 0 disables failure biasing; a value in (0, 1) switches every shard to
   /// the importance-sampled estimator (see monte_carlo_failure_biased).
   double bias = 0.0;

@@ -1,7 +1,6 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace archex::support {
@@ -81,46 +80,6 @@ void ThreadPool::run_workers(int count, const std::function<void(int)>& body) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  if (end <= begin) return;
-  const std::size_t count = end - begin;
-  const auto threads = static_cast<std::size_t>(num_threads());
-  if (threads == 1 || count == 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  // Shared-counter dynamic scheduling: each participant claims the next
-  // iteration. The first exception wins; remaining iterations still drain
-  // (claimed-but-skipped) so the join below terminates.
-  auto next = std::make_shared<std::atomic<std::size_t>>(begin);
-  auto first_error = std::make_shared<std::atomic<bool>>(false);
-  auto error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
-  auto work = [next, first_error, error, error_mutex, end, &body] {
-    while (true) {
-      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) return;
-      if (first_error->load(std::memory_order_relaxed)) continue;
-      try {
-        body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!first_error->exchange(true)) *error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::future<void>> joins;
-  const std::size_t helpers = std::min(threads - 1, count - 1);
-  joins.reserve(helpers);
-  for (std::size_t t = 0; t < helpers; ++t) joins.push_back(submit(work));
-  work();  // the caller participates
-  for (auto& join : joins) wait(join);
-  if (first_error->load()) std::rethrow_exception(*error);
 }
 
 }  // namespace archex::support

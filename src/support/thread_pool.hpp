@@ -1,21 +1,18 @@
 // archex/support/thread_pool.hpp
 //
 // Fixed-size thread pool: the concurrency substrate for the parallel
-// reliability analyzers (rel/) and the sharded benchmark harnesses. Design
-// goals, in order:
+// branch & bound workers (run_workers) and the archex_server's request
+// workers (submit). Design goals, in order:
 //
-//  * determinism first — the pool only *schedules*; callers own the
-//    decomposition (fixed shard counts, fixed per-shard RNG streams) so that
-//    results are bit-identical for any thread count, including 1;
+//  * the pool only *schedules*; callers own the decomposition and any
+//    determinism contract;
 //  * no surprises at num_threads() == 1 — everything runs inline on the
 //    calling thread, giving a true serial baseline for speedup measurements;
-//  * nest-safe waiting — a thread blocked in parallel_for() or
-//    Future::get()-style joins keeps draining the shared queue, so a task
-//    that itself fans out cannot deadlock the pool.
+//  * nest-safe waiting — a thread blocked in wait() keeps draining the
+//    shared queue, so a task that itself fans out cannot deadlock the pool.
 //
 // There is deliberately no work stealing and no per-thread deque *in the
-// pool itself*: the hot paths submit a handful of coarse tasks (factoring
-// subtrees, Monte-Carlo shards, branch-and-bound worker loops), for which a
+// pool itself*: callers submit a handful of coarse tasks, for which a
 // single mutex-protected queue is both simpler and cheaper than a stealing
 // scheduler. Schedulers that do steal — the parallel branch & bound's
 // global node pool (src/ilp/branch_and_bound.cpp) — are built one layer
@@ -38,7 +35,7 @@ namespace archex::support {
 class ThreadPool {
  public:
   /// A pool that runs work on `num_threads` threads *including* the caller
-  /// (parallel_for participates): n - 1 workers are spawned. Values < 1 are
+  /// (run_workers participates): n - 1 workers are spawned. Values < 1 are
   /// clamped to 1; 1 means fully inline execution (no threads created).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
@@ -73,18 +70,11 @@ class ThreadPool {
     return future;
   }
 
-  /// Run `body(i)` for every i in [begin, end), distributed over the pool
-  /// with the caller participating; returns when all iterations finished.
-  /// Iterations must be independent — the execution order is unspecified.
-  /// The first exception thrown by any iteration is rethrown to the caller.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
-
   /// Run `body(w)` once for each worker id w in [0, count), all eligible to
-  /// execute concurrently, with the caller running body(0) inline. Unlike
-  /// parallel_for's dynamic iteration claiming, this is a *static* launch of
-  /// long-running collaborators (e.g. branch-and-bound workers that share a
-  /// node pool): every body gets a stable id for per-worker scratch state.
+  /// execute concurrently, with the caller running body(0) inline: a
+  /// *static* launch of long-running collaborators (e.g. branch-and-bound
+  /// workers that share a node pool), each with a stable id for per-worker
+  /// scratch state.
   /// All bodies are joined before returning, even on error; the first
   /// exception thrown by any body is rethrown afterwards. Bodies may
   /// cooperate through shared state but must not *require* more than one of

@@ -385,7 +385,7 @@ TEST(BddPrecision, EpsRandomSubsetsMatchFactoringRelatively) {
 TEST(BddOrder, TopologicalOrderRespectsEdges) {
   const Example1 e(0.3, 0.2, 0.1, 0.05);
   const std::vector<NodeId> order =
-      bdd_variable_order(e.g, {0, 1}, 6, BddOrdering::kTopological);
+      bdd_variable_order(e.g, {0, 1}, 6, BddOrdering::kAuto);
   ASSERT_EQ(order.size(), static_cast<std::size_t>(7));
   std::vector<int> pos(7, -1);
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -405,7 +405,7 @@ TEST(BddOrder, CyclicGraphFallsBackToBfsLevels) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 0);
-  EXPECT_EQ(bdd_variable_order(g, {0}, 2, BddOrdering::kTopological),
+  EXPECT_EQ(bdd_variable_order(g, {0}, 2, BddOrdering::kAuto),
             bdd_variable_order(g, {0}, 2, BddOrdering::kBfsLevel));
 }
 
@@ -429,7 +429,7 @@ TEST(BddOrder, IrrelevantNodesAreExcluded) {
     for (NodeId v : e.g.successors(u)) g.add_edge(u, v);
   }
   g.add_edge(0, 8);
-  for (BddOrdering ord : {BddOrdering::kTopological, BddOrdering::kBfsLevel,
+  for (BddOrdering ord : {BddOrdering::kAuto, BddOrdering::kBfsLevel,
                           BddOrdering::kDegree}) {
     const std::vector<NodeId> order = bdd_variable_order(g, {0, 1}, 6, ord);
     EXPECT_EQ(order.size(), static_cast<std::size_t>(7));
@@ -443,8 +443,8 @@ TEST(BddOrder, AllOrderingsComputeTheSameProbability) {
   const std::vector<double> p(16, 0.25);
   const double rf = failure_probability(g, {0}, 15, p,
                                         ExactMethod::kFactoring);
-  for (BddOrdering ord : {BddOrdering::kAuto, BddOrdering::kTopological,
-                          BddOrdering::kBfsLevel, BddOrdering::kDegree}) {
+  for (BddOrdering ord : {BddOrdering::kAuto, BddOrdering::kBfsLevel,
+                          BddOrdering::kDegree}) {
     EXPECT_NEAR(bdd_failure_probability(g, {0}, 15, p, ord), rf, 1e-12);
   }
 }
@@ -519,7 +519,7 @@ TEST_P(BddDifferentialDigraph, AgreesOnRandomDigraphs) {
   EXPECT_NEAR(rb, rf, 1e-12);
   EXPECT_TRUE(rel_near(rb, rf, 1e-12));
   if (GetParam() % 4 == 0) {
-    for (BddOrdering ord : {BddOrdering::kTopological, BddOrdering::kBfsLevel,
+    for (BddOrdering ord : {BddOrdering::kAuto, BddOrdering::kBfsLevel,
                             BddOrdering::kDegree}) {
       const double ro = bdd_failure_probability(g, sources, sink, p, ord);
       EXPECT_NEAR(ro, rf, 1e-12);
@@ -579,9 +579,9 @@ TEST(BddCache, FirstWriterWinsAcrossMethods) {
 }
 
 TEST(BddParallel, SharedCacheMixedMethodsUnderContention) {
-  // Exercised under tsan: many pool tasks hammer one EvalCache while
-  // alternating between the BDD and factoring analyzers (factoring itself
-  // fanning out on the same pool), with two distinct problems in flight.
+  // Exercised under tsan: four pool workers hammer one EvalCache while
+  // alternating between the BDD and factoring analyzers, with two distinct
+  // problems in flight.
   const Example1 e(0.3, 0.2, 0.1, 0.05);
   const Digraph grid = make_grid(4);
   const std::vector<double> gp(16, 0.2);
@@ -591,18 +591,20 @@ TEST(BddParallel, SharedCacheMixedMethodsUnderContention) {
       failure_probability(grid, {0}, 15, gp, ExactMethod::kFactoring);
 
   EvalCache cache;
-  support::ThreadPool pool(4);
+  constexpr int kWorkers = 4;
+  support::ThreadPool pool(kWorkers);
   std::vector<double> out(32, -1.0);
-  pool.parallel_for(0, out.size(), [&](std::size_t i) {
+  pool.run_workers(kWorkers, [&](int w) {
     EvalContext ctx;
     ctx.cache = &cache;
-    const ExactMethod method =
-        (i % 2 == 0) ? ExactMethod::kBdd : ExactMethod::kFactoring;
-    if (method == ExactMethod::kFactoring) ctx.pool = &pool;  // nest-safe
-    if (i % 4 < 2) {
-      out[i] = failure_probability(e.g, {0, 1}, 6, e.p, ctx, method);
-    } else {
-      out[i] = failure_probability(grid, {0}, 15, gp, ctx, method);
+    for (auto i = static_cast<std::size_t>(w); i < out.size(); i += kWorkers) {
+      const ExactMethod method =
+          (i % 2 == 0) ? ExactMethod::kBdd : ExactMethod::kFactoring;
+      if (i % 4 < 2) {
+        out[i] = failure_probability(e.g, {0, 1}, 6, e.p, ctx, method);
+      } else {
+        out[i] = failure_probability(grid, {0}, 15, gp, ctx, method);
+      }
     }
   });
   for (std::size_t i = 0; i < out.size(); ++i) {

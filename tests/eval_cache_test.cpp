@@ -1,8 +1,8 @@
-// Tests for the reliability-evaluation acceleration substrate: the EvalCache
-// unit behaviour (hits, capacity, invalidation) and the determinism contract
-// of the accelerated factoring analyzer and sharded Monte Carlo — cached,
-// parallel, and cached+parallel runs must be bit-identical to the plain
-// serial evaluation for the same inputs.
+// Tests for the reliability-evaluation cache: the EvalCache unit behaviour
+// (hits, capacity, invalidation, sharding), the determinism contract of the
+// cached factoring analyzer (cold, warm and concurrently shared runs must be
+// bit-identical to the plain evaluation for the same inputs), and the
+// sharded Monte Carlo estimator.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,8 +23,8 @@ using graph::NodeId;
 using support::ThreadPool;
 
 // The determinism contract below is about the factoring engine's
-// pivot-subproblem caching and pool fan-out, so those tests name it rather
-// than run under the default exact method (BDD).
+// pivot-subproblem caching, so those tests name it rather than run under
+// the default exact method (BDD).
 constexpr ExactMethod kFactoring = ExactMethod::kFactoring;
 
 EvalKey sample_key(int salt = 0) {
@@ -150,10 +150,9 @@ TEST(EvalCacheSharding, UnitBehaviourIdenticalAcrossShardCounts) {
 // The regression guard for the archex_server refactor: on the randomized
 // DAG corpus of the PR 3 differential harness, factoring through a sharded
 // table must return bit-identical values to the historical single-lock
-// table (shards == 1), serial and parallel, cold and warm — results must be
-// a pure function of the key set, never of the lock layout.
+// table (shards == 1), cold and warm — results must be a pure function of
+// the key set, never of the lock layout.
 TEST(EvalCacheSharding, DifferentialShardedVsSingleLockOnRandomDags) {
-  ThreadPool pool(4);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     std::vector<double> p;
     const Digraph g = random_dag(seed * 7919, 10, p);
@@ -176,10 +175,6 @@ TEST(EvalCacheSharding, DifferentialShardedVsSingleLockOnRandomDags) {
       EXPECT_EQ(reference,
                 failure_probability(g, sources, sink, p, ctx, kFactoring))
           << "seed " << seed << " shards " << shards;  // warm serial
-      ctx.pool = &pool;
-      EXPECT_EQ(reference,
-                failure_probability(g, sources, sink, p, ctx, kFactoring))
-          << "seed " << seed << " shards " << shards;  // warm parallel
 
       // Same key set -> same resident subproblems, however they stripe.
       EXPECT_EQ(sharded.stats().size, single.stats().size)
@@ -189,24 +184,27 @@ TEST(EvalCacheSharding, DifferentialShardedVsSingleLockOnRandomDags) {
 }
 
 TEST(EvalCacheSharding, ConcurrentMixedWorkloadStaysConsistent) {
-  // Many threads hammer one sharded cache with overlapping evaluations;
-  // every value read back must equal the serial reference (first-writer-
-  // wins stores identical bits). Factoring stores every pivot subproblem,
-  // BDD (the default) one whole-graph entry. Exercised under TSan via the
-  // `parallel` and `server` labels.
+  // Four pool workers hammer one sharded cache with overlapping
+  // evaluations; every value read back must equal the serial reference
+  // (first-writer-wins stores identical bits). Factoring stores every pivot
+  // subproblem, BDD (the default) one whole-graph entry. Exercised under
+  // TSan via the `parallel` label.
   std::vector<double> p;
   const Digraph g = random_dag(4242, 10, p);
   const std::vector<NodeId> sources{0, 1};
   const NodeId sink = g.num_nodes() - 1;
-  ThreadPool pool(4);
+  constexpr int kWorkers = 4;
+  ThreadPool pool(kWorkers);
   for (const ExactMethod method : {kFactoring, ExactMethod::kBdd}) {
     const double reference = failure_probability(g, sources, sink, p, method);
     EvalCache cache(1u << 20, 8);
-    pool.parallel_for(0, 16, [&](std::size_t) {
+    pool.run_workers(kWorkers, [&](int) {
       EvalContext ctx;
       ctx.cache = &cache;
-      EXPECT_EQ(reference,
-                failure_probability(g, sources, sink, p, ctx, method));
+      for (int rep = 0; rep < 4; ++rep) {
+        EXPECT_EQ(reference,
+                  failure_probability(g, sources, sink, p, ctx, method));
+      }
     });
     EXPECT_GT(cache.stats().hits, 0u) << to_string(method);
   }
@@ -262,37 +260,6 @@ TEST(EvalCacheDeterminism, CacheSharedAcrossSimilarGraphs) {
             failure_probability(g2, {0, 1}, g.num_nodes() - 1, p, kFactoring));
 }
 
-TEST(EvalCacheDeterminism, ParallelFactoringBitIdenticalToSerial) {
-  ThreadPool pool(4);
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    std::vector<double> p;
-    const Digraph g = random_dag(seed * 104729, 10, p);
-    const std::vector<NodeId> sources{0, 1};
-    const NodeId sink = g.num_nodes() - 1;
-
-    const double serial = failure_probability(g, sources, sink, p, kFactoring);
-
-    // Pool only.
-    EvalContext pool_ctx;
-    pool_ctx.pool = &pool;
-    EXPECT_EQ(serial,
-              failure_probability(g, sources, sink, p, pool_ctx, kFactoring))
-        << "seed " << seed;
-
-    // Pool + shared cache (the production configuration).
-    EvalCache cache;
-    EvalContext full_ctx;
-    full_ctx.pool = &pool;
-    full_ctx.cache = &cache;
-    EXPECT_EQ(serial,
-              failure_probability(g, sources, sink, p, full_ctx, kFactoring))
-        << "seed " << seed;
-    EXPECT_EQ(serial,
-              failure_probability(g, sources, sink, p, full_ctx, kFactoring))
-        << "seed " << seed;  // warm-cache parallel rerun
-  }
-}
-
 TEST(EvalCacheDeterminism, WorstSinkEvaluationUsesContext) {
   std::vector<double> p;
   const Digraph g = random_dag(31337, 9, p);
@@ -301,68 +268,31 @@ TEST(EvalCacheDeterminism, WorstSinkEvaluationUsesContext) {
 
   const double plain = worst_failure_probability(g, part, sinks, p, kFactoring);
   EvalCache cache;
-  ThreadPool pool(3);
-  const double accelerated = worst_failure_probability(
-      g, part, sinks, p, kFactoring, {&cache, &pool});
+  EvalContext ctx;
+  ctx.cache = &cache;
+  const double accelerated =
+      worst_failure_probability(g, part, sinks, p, kFactoring, ctx);
   EXPECT_EQ(plain, accelerated);
   EXPECT_GT(cache.stats().misses, 0u);
 }
 
 // ---- determinism contract: sharded Monte Carlo ------------------------------
 
-TEST(ShardedMonteCarlo, ThreadCountInvariant) {
-  std::vector<double> p;
-  const Digraph g = random_dag(2024, 9, p);
-  MonteCarloOptions opt;
-  opt.samples = 20000;
-  opt.seed = 77;
-  opt.num_shards = 16;
-
-  const MonteCarloResult serial =
-      monte_carlo_failure_sharded(g, {0, 1}, g.num_nodes() - 1, p, opt);
-  EXPECT_GT(serial.estimate, 0.0);
-  EXPECT_EQ(serial.samples, opt.samples);
-
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    opt.pool = &pool;
-    const MonteCarloResult parallel =
-        monte_carlo_failure_sharded(g, {0, 1}, g.num_nodes() - 1, p, opt);
-    EXPECT_EQ(serial.estimate, parallel.estimate) << threads << " threads";
-    EXPECT_EQ(serial.std_error, parallel.std_error) << threads << " threads";
-  }
-}
-
-TEST(ShardedMonteCarlo, BiasedVariantThreadCountInvariant) {
-  std::vector<double> p;
-  const Digraph g = random_dag(99, 8, p);
-  MonteCarloOptions opt;
-  opt.samples = 10000;
-  opt.num_shards = 8;
-  opt.bias = 0.2;
-
-  const MonteCarloResult serial =
-      monte_carlo_failure_sharded(g, {0, 1}, g.num_nodes() - 1, p, opt);
-  ThreadPool pool(4);
-  opt.pool = &pool;
-  const MonteCarloResult parallel =
-      monte_carlo_failure_sharded(g, {0, 1}, g.num_nodes() - 1, p, opt);
-  EXPECT_EQ(serial.estimate, parallel.estimate);
-  EXPECT_EQ(serial.std_error, parallel.std_error);
-}
-
 TEST(ShardedMonteCarlo, MatchesExactWithinError) {
   std::vector<double> p;
   const Digraph g = random_dag(512, 9, p);
   const double exact = failure_probability(g, {0, 1}, g.num_nodes() - 1, p);
 
-  MonteCarloOptions opt;
-  opt.samples = 50000;
-  ThreadPool pool(2);
-  opt.pool = &pool;
-  const MonteCarloResult mc =
-      monte_carlo_failure_sharded(g, {0, 1}, g.num_nodes() - 1, p, opt);
-  EXPECT_NEAR(mc.estimate, exact, 5.0 * mc.std_error + 1e-3);
+  for (const double bias : {0.0, 0.2}) {  // plain, then failure-biased
+    MonteCarloOptions opt;
+    opt.samples = 50000;
+    opt.bias = bias;
+    const MonteCarloResult mc =
+        monte_carlo_failure_sharded(g, {0, 1}, g.num_nodes() - 1, p, opt);
+    EXPECT_EQ(mc.samples, opt.samples) << "bias " << bias;
+    EXPECT_NEAR(mc.estimate, exact, 5.0 * mc.std_error + 1e-3)
+        << "bias " << bias;
+  }
 }
 
 TEST(ShardedMonteCarlo, MoreShardsThanSamples) {

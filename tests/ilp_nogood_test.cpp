@@ -170,9 +170,7 @@ TEST(NogoodStore, DuplicateFromPermanentSourceUpgradesDominanceEntry) {
 }
 
 TEST(NogoodStore, EvictionKeepsActiveEntriesAndOracles) {
-  NogoodStoreOptions opt;
-  opt.max_nogoods = 8;
-  NogoodStore store(opt);
+  NogoodStore store(8);
 
   const int oracle =
       store.insert(make_nogood({100}, {101}, NogoodSource::kOracle));
@@ -390,8 +388,7 @@ TEST(NogoodLearning, EveryLearnedNogoodIsDeadAndWithinTheWidthCap) {
     const Model m = make_model(rng);
 
     auto store = std::make_shared<NogoodStore>();
-    BranchAndBoundOptions opt;
-    BranchAndBoundSolver solver(opt);
+    BranchAndBoundSolver solver;
     solver.set_nogood_store(store);
     const IlpResult res = solver.solve(m);
     ASSERT_TRUE(res.status == IlpStatus::kOptimal ||
@@ -402,7 +399,7 @@ TEST(NogoodLearning, EveryLearnedNogoodIsDeadAndWithinTheWidthCap) {
     store->snapshot(learned);
     for (const auto& [index, nogood] : learned) {
       EXPECT_LE(nogood.num_literals(),
-                static_cast<std::size_t>(opt.max_nogood_literals))
+                static_cast<std::size_t>(kMaxNogoodLiterals))
           << "instance " << i << " nogood " << index;
 
       // Replay the assignment: fixing the literals must leave nothing

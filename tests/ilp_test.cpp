@@ -283,13 +283,13 @@ TEST(Branching, TiesResolveToLowestIndex) {
 
   const std::vector<double> x = {0.5, 0.5, 0.5};
   const BranchChoice plain =
-      select_branch_variable(m, integral, 1e-6, x, nullptr, 1);
+      select_branch_variable(m, integral, x, nullptr);
   EXPECT_EQ(plain.var, 0);
   EXPECT_FALSE(plain.used_pseudocost);
 
   // A strictly more fractional later variable still wins over earlier ones.
   const std::vector<double> x2 = {0.3, 0.5, 0.3};
-  EXPECT_EQ(select_branch_variable(m, integral, 1e-6, x2, nullptr, 1).var, 1);
+  EXPECT_EQ(select_branch_variable(m, integral, x2, nullptr).var, 1);
 
   // Equal *pseudocost* scores tie-break to the lowest index as well.
   PseudocostTable table(3);
@@ -298,7 +298,7 @@ TEST(Branching, TiesResolveToLowestIndex) {
     table.observe(j, true, 2.0);
   }
   const BranchChoice pc =
-      select_branch_variable(m, integral, 1e-6, x, &table, 1);
+      select_branch_variable(m, integral, x, &table);
   EXPECT_TRUE(pc.used_pseudocost);
   EXPECT_EQ(pc.var, 1);  // lowest index among the (tied) reliable pair
 
@@ -307,7 +307,7 @@ TEST(Branching, TiesResolveToLowestIndex) {
   m.set_branch_priority(Var{1}, 10);
   m.set_branch_priority(Var{2}, 10);
   const BranchChoice prio =
-      select_branch_variable(m, integral, 1e-6, x, nullptr, 1);
+      select_branch_variable(m, integral, x, nullptr);
   EXPECT_EQ(prio.var, 1);
 }
 
@@ -316,7 +316,7 @@ TEST(Branching, IntegralPointYieldsNoCandidate) {
   m.add_binary("a");
   m.set_objective(LinExpr{});
   const std::vector<double> x = {1.0};
-  EXPECT_EQ(select_branch_variable(m, {0}, 1e-6, x, nullptr, 1).var, -1);
+  EXPECT_EQ(select_branch_variable(m, {0}, x, nullptr).var, -1);
 }
 
 TEST(Balas, RejectsNonBinaryModels) {

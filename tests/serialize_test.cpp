@@ -271,6 +271,19 @@ TEST(SerializeEnvelope, RequestValidationRejectsBadEnvelopes) {
     EXPECT_EQ(e.source(), "conn-3");
     EXPECT_EQ(e.json_path(), "$.eps_generators");
   }
+  // Above the paper's largest EPS (g = 10): rejected before anything is
+  // built; the cap itself parses.
+  try {
+    (void)request_from_json(
+        request_line(R"(, "id": "r", "mode": "mr", "eps_generators": 11)"));
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.json_path(), "$.eps_generators");
+  }
+  EXPECT_EQ(request_from_json(request_line(
+                R"(, "id": "r", "mode": "mr", "eps_generators": 10)"))
+                .eps_generators,
+            10);
   EXPECT_THROW((void)request_from_json(request_line(
                    R"(, "id": "r", "mode": "mr", "eps_generators": 1,
                       "target_failure": 2.0)")),

@@ -1,6 +1,6 @@
-// Tests for archex::support::ThreadPool: inline single-thread mode, futures,
-// parallel_for coverage and exception propagation, and nest-safety (a task
-// that itself fans out must not deadlock the pool).
+// Tests for archex::support::ThreadPool: inline single-thread mode, futures
+// and exception propagation, run_workers ids and joins, and nest-safety (a
+// task that itself fans out must not deadlock the pool).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,51 +40,23 @@ TEST(ThreadPool, SubmitPropagatesException) {
   }
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  for (int n : {1, 2, 5}) {
-    ThreadPool pool(n);
-    constexpr std::size_t kCount = 1000;
-    std::vector<std::atomic<int>> touched(kCount);
-    pool.parallel_for(0, kCount, [&](std::size_t i) { ++touched[i]; });
-    for (std::size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(touched[i].load(), 1) << "index " << i;
-    }
-  }
-}
-
-TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(3);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ParallelForRethrowsFirstException) {
-  for (int n : {1, 4}) {
-    ThreadPool pool(n);
-    std::atomic<int> completed{0};
-    EXPECT_THROW(pool.parallel_for(0, 100,
-                                   [&](std::size_t i) {
-                                     if (i == 13) {
-                                       throw std::runtime_error("unlucky");
-                                     }
-                                     ++completed;
-                                   }),
-                 std::runtime_error);
-    EXPECT_LE(completed.load(), 99);
-  }
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // Every outer iteration fans out again on the same pool; with blocking
-  // joins this would deadlock as soon as all workers wait on inner tasks.
+TEST(ThreadPool, NestedSubmitDoesNotDeadlock) {
+  // Every outer task fans out again on the same pool and waits for its
+  // inner tasks; with blocking joins this would deadlock as soon as all
+  // workers wait on inner tasks.
   ThreadPool pool(4);
   std::atomic<long> total{0};
-  pool.parallel_for(0, 8, [&](std::size_t) {
-    pool.parallel_for(0, 8, [&](std::size_t j) {
-      total += static_cast<long>(j);
-    });
-  });
+  std::vector<std::future<void>> outer;
+  for (int i = 0; i < 8; ++i) {
+    outer.push_back(pool.submit([&] {
+      std::vector<std::future<void>> inner;
+      for (long j = 0; j < 8; ++j) {
+        inner.push_back(pool.submit([&total, j] { total += j; }));
+      }
+      for (auto& f : inner) pool.wait(f);
+    }));
+  }
+  for (auto& f : outer) pool.wait(f);
   EXPECT_EQ(total.load(), 8 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
 }
 
