@@ -36,9 +36,11 @@ enum class PathEncoding {
   /// Continuous single-commodity flows per (sink, type): no auxiliary
   /// binaries, tight LP relaxation (default; see flow_encoder.hpp).
   kFlow,
-  /// Literal Lemma-1 walk-indicator unrolling over decision edges with
-  /// length bound n - i + 1 (paper-faithful; weaker LP relaxation —
-  /// bench_encoder_ablation measures the gap).
+  /// The paper-literal ADDPATH lowering: eq. (6) over Lemma-1 walk
+  /// indicators of the decision edges with length bound n - i + 1. It
+  /// shares ReachEncoder's indicators, each capped at its candidate
+  /// simple-path bound (reach_encoder.hpp). Weaker LP relaxation than
+  /// kFlow; bench_encoder_ablation measures the gap.
   kWalkIndicator,
 };
 

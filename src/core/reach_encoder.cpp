@@ -18,6 +18,25 @@ ReachEncoder::ReachEncoder(ArchitectureIlp& ilp, ReachHonesty honesty)
   for (graph::NodeId s : tmpl_.sources()) {
     is_source_[static_cast<std::size_t>(s)] = true;
   }
+
+  // walk_to's length caps from candidate reachability (see the header).
+  const int n = tmpl_.num_components();
+  const auto idx = [](graph::NodeId v) { return static_cast<std::size_t>(v); };
+  std::vector<std::vector<bool>> reach;
+  for (graph::NodeId u = 0; u < n; ++u) {
+    reach.push_back(candidates_.reachable_from(u));
+  }
+  // c(u, t) counts the nodes v with u ->* v ->* t, less one: a path has
+  // one edge fewer than nodes.
+  walk_cap_.assign(idx(n) * idx(n), -1);
+  for (graph::NodeId t = 0; t < n; ++t) {
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (!reach[idx(v)][idx(t)]) continue;
+      for (graph::NodeId u = 0; u < n; ++u) {
+        if (reach[idx(u)][idx(v)]) ++walk_cap_[idx(u) * idx(n) + idx(t)];
+      }
+    }
+  }
 }
 
 const graph::BoolMatrix& ReachEncoder::candidate_eta(int len) {
@@ -88,6 +107,8 @@ std::optional<Var> ReachEncoder::walk_to(graph::NodeId target, graph::NodeId u,
                                          int len) {
   ARCHEX_REQUIRE(u != target, "walk_to expects distinct endpoints");
   ARCHEX_REQUIRE(len >= 1, "walk length must be at least 1");
+  len = std::min(len, walk_cap_[static_cast<std::size_t>(
+                           u * tmpl_.num_components() + target)]);
   if (!candidate_walk(u, target, len)) return std::nullopt;
 
   const auto key = std::make_tuple(target, u, len);

@@ -27,6 +27,19 @@
 //
 // The length index strictly decreases through the recurrence, so no circular
 // support is possible even on templates with same-type tie cycles.
+//
+// walk_to caps its length at a bound from candidate-graph reachability,
+// computed once per encoder. A selected walk u -> t of length <= len exists
+// exactly when a selected simple path of length <= len does (cut the cycles
+// out of the shortest walk), and every node v of that path satisfies
+// u ->* v ->* t in the candidate graph. With c(u, t) + 1 the number of such
+// nodes, walk_to(t, u, len) uses len' = min(len, c(u, t)): every len >= c
+// denotes the same Boolean function of the edge variables, so the memo
+// returns one Var for all of them, and both honesty modes keep their
+// feasible sets while the unrolling shrinks.
+// from_sources stays uncapped: the same argument caps it at the number of
+// non-source nodes fed by a source that reach w, but that cap also rewrites
+// the g1 model and measured no faster on perfbench synth.
 #pragma once
 
 #include <map>
@@ -84,6 +97,7 @@ class ReachEncoder {
   graph::Digraph candidates_;
   std::vector<bool> is_source_;
   std::vector<graph::BoolMatrix> eta_;  // eta_[l-1] = η_l of candidate graph
+  std::vector<int> walk_cap_;  // c(u, t) at u * |V| + t; -1: no u -> t walk
 
   std::map<std::tuple<graph::NodeId, graph::NodeId, int>, ilp::Var> walk_memo_;
   std::map<std::pair<graph::NodeId, int>, ilp::Var> source_memo_;

@@ -449,6 +449,9 @@ std::string to_json(const SolveResponse& response) {
   for (const int k : response.selected_edges) selected.push_back(k);
   doc["cost"] = response.cost;
   doc["failure"] = response.failure;
+  if (response.approx_failure) {
+    doc["approx_failure"] = *response.approx_failure;
+  }
   doc["selected_edges"] = std::move(selected);
   doc["iterations"] = response.iterations;
 
@@ -495,6 +498,9 @@ SolveResponse response_from_json(const std::string& text,
   response.error = doc.str_or("error", "");
   response.cost = doc.number_or("cost", 0.0);
   response.failure = doc.number_or("failure", 1.0);
+  if (const auto approx = doc.find("approx_failure")) {
+    response.approx_failure = approx->number();
+  }
   if (const auto edges = doc.find("selected_edges")) {
     for (std::size_t i = 0; i < edges->array_size(); ++i) {
       response.selected_edges.push_back(edges->at(i).integer());

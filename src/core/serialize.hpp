@@ -135,7 +135,12 @@ struct SolveRequest {
 };
 
 /// One solve response line. `status` vocabulary:
-///   "optimal"          proven-optimal architecture (or completed sweep)
+///   "optimal"          proven-optimal architecture (or completed sweep).
+///                      For mode "ar" it certifies the algebra's bound,
+///                      approx_failure = r̃ <= target_failure, with the
+///                      least cost under that bound; the exact `failure`
+///                      may still exceed the target (Theorem 2 bounds the
+///                      gap)
 ///   "unfeasible"       the template cannot meet the requirement
 ///   "iteration_limit"  ILP-MR ran out of iterations
 ///   "time_limit"       the request deadline expired mid-solve
@@ -150,7 +155,9 @@ struct SolveResponse {
 
   // Synthesis result (mr | ar; best point for a non-empty pareto sweep).
   double cost = 0.0;
-  double failure = 1.0;
+  double failure = 1.0;  // exact worst-sink failure probability
+  /// Mode "ar" with an architecture only: its worst-sink r̃ (eq. 9).
+  std::optional<double> approx_failure;
   std::vector<int> selected_edges;
   int iterations = 0;
 

@@ -186,6 +186,7 @@ core::SolveResponse SolveService::handle(const core::SolveRequest& request) {
       if (report.configuration) {
         response.cost = report.configuration->total_cost();
         response.failure = report.exact_failure;
+        response.approx_failure = report.approx_failure;
         response.selected_edges = selected_edges(*report.configuration);
       }
     } else {

@@ -6,6 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/arch_ilp.hpp"
 #include "core/arch_template.hpp"
@@ -13,6 +17,7 @@
 #include "core/ilp_ar.hpp"
 #include "core/ilp_mr.hpp"
 #include "core/reach_encoder.hpp"
+#include "graph/bool_matrix.hpp"
 #include "ilp/solver.hpp"
 
 namespace archex::core {
@@ -48,7 +53,57 @@ struct Tiny {
       ilp.add_conditional_predecessor_rule({t, m1, m2}, m, {s1, s2});
     }
   }
+
+  /// base_rules() evaluated on a selected graph: the sink is fed, and a
+  /// middle with any successor has a source predecessor.
+  [[nodiscard]] bool base_rules_hold(const graph::Digraph& g) const {
+    if (g.predecessors(t).empty()) return false;
+    for (NodeId m : {m1, m2}) {
+      if (g.successors(m).empty()) continue;
+      bool fed_by_source = false;
+      for (NodeId p : g.predecessors(m)) {
+        if (p == s1 || p == s2) fed_by_source = true;
+      }
+      if (!fed_by_source) return false;
+    }
+    return true;
+  }
 };
+
+// Two tied bus pairs in series, so simple paths run longer than the type
+// count: S (type 0) -> A1,A2 (type 1, tie A1<->A2) -> B1,B2 (type 2, tie
+// B1<->B2) -> T (type 3), with A1->B1 and A2->B2 only.
+struct TieChain {
+  Template tmpl;
+
+  TieChain() {
+    const NodeId s = tmpl.add_component({"S", 0, 10.0, 0.01, 10.0, 0.0});
+    const NodeId a1 = tmpl.add_component({"A1", 1, 5.0, 0.02, 10.0, 1.0});
+    const NodeId a2 = tmpl.add_component({"A2", 1, 5.0, 0.02, 10.0, 1.0});
+    const NodeId b1 = tmpl.add_component({"B1", 2, 4.0, 0.03, 10.0, 1.0});
+    const NodeId b2 = tmpl.add_component({"B2", 2, 4.0, 0.03, 10.0, 1.0});
+    const NodeId t = tmpl.add_component({"T", 3, 0.0, 0.0, 0.0, 1.0});
+    for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+             {s, a1}, {s, a2}, {a1, a2}, {a2, a1}, {a1, b1},
+             {a2, b2}, {b1, b2}, {b2, b1}, {b1, t}, {b2, t}}) {
+      tmpl.add_candidate_edge(u, v, 1.0);
+    }
+  }
+};
+
+/// Selection `mask` over the template's candidate edges.
+std::vector<bool> edge_selection(const Template& tmpl, unsigned mask) {
+  std::vector<bool> sel(static_cast<std::size_t>(tmpl.num_candidate_edges()));
+  for (std::size_t k = 0; k < sel.size(); ++k) sel[k] = (mask >> k) & 1u;
+  return sel;
+}
+
+/// Fixes every edge variable of `ilp` to `sel`.
+void fix_edges(ArchitectureIlp& ilp, const std::vector<bool>& sel) {
+  for (std::size_t k = 0; k < sel.size(); ++k) {
+    ilp.model().fix(ilp.edge_var(static_cast<int>(k)), sel[k] ? 1.0 : 0.0);
+  }
+}
 
 // ---- Template ----------------------------------------------------------------
 
@@ -328,6 +383,76 @@ TEST(ReachEncoder, ExactModeTracksTruth) {
   }
 }
 
+void check_indicators_match_walk_truth(const Template& tmpl) {
+  // For every edge selection, each kExact indicator must equal walk truth
+  // on the selected graph, at every length below, at and above its cap.
+  const int n = tmpl.num_components();
+  const int max_len = tmpl.num_types() + 1;
+  const std::vector<NodeId> sources = tmpl.sources();
+  const graph::Digraph cand = tmpl.candidate_graph();
+  std::vector<std::vector<bool>> reach;
+  for (NodeId u = 0; u < n; ++u) reach.push_back(cand.reachable_from(u));
+  const auto idx = [](NodeId v) { return static_cast<std::size_t>(v); };
+
+  for (unsigned mask = 0; mask < (1u << tmpl.num_candidate_edges()); ++mask) {
+    const std::vector<bool> sel = edge_selection(tmpl, mask);
+    ArchitectureIlp ilp(tmpl);
+    fix_edges(ilp, sel);
+    ReachEncoder enc(ilp, ReachHonesty::kExact);
+    struct Probe {
+      std::optional<ilp::Var> var;
+      bool truth;
+    };
+    std::vector<Probe> probes;
+    const graph::Digraph g = Configuration(tmpl, sel).selected_graph();
+    for (int len = 1; len <= max_len; ++len) {
+      const graph::BoolMatrix eta = graph::walk_indicator(g, len);
+      for (NodeId w = 0; w < n; ++w) {
+        bool fed = false;
+        for (NodeId s : sources) fed = fed || s == w || eta.get(s, w);
+        probes.push_back({enc.from_sources(w, len), fed});
+        for (NodeId u = 0; u < n; ++u) {
+          if (u != w) probes.push_back({enc.walk_to(w, u, len), eta.get(u, w)});
+        }
+      }
+    }
+    ilp::BranchAndBoundSolver solver;
+    const auto res = solver.solve(ilp.model());
+    ASSERT_TRUE(res.optimal()) << "mask " << mask;
+    for (const Probe& probe : probes) {
+      const bool value = probe.var && res.value_bool(*probe.var);
+      ASSERT_EQ(value, probe.truth) << "mask " << mask;
+    }
+  }
+
+  // walk_to shares one Var from the cap c(u, t) = |{v : u ->* v ->* t}| - 1
+  // on; below it, the candidate graph alone decides whether a Var exists.
+  ArchitectureIlp ilp(tmpl);
+  ReachEncoder enc(ilp, ReachHonesty::kExact);
+  for (NodeId t = 0; t < n; ++t) {
+    for (NodeId u = 0; u < n; ++u) {
+      if (u == t || !reach[idx(u)][idx(t)]) continue;
+      int cap = -1;
+      for (NodeId v = 0; v < n; ++v) {
+        cap += reach[idx(u)][idx(v)] && reach[idx(v)][idx(t)];
+      }
+      const auto capped = enc.walk_to(t, u, cap);
+      ASSERT_TRUE(capped.has_value());
+      for (int len = cap + 1; len <= cap + 3; ++len) {
+        EXPECT_EQ(enc.walk_to(t, u, len)->id, capped->id);
+      }
+    }
+  }
+}
+
+TEST(ReachEncoder, ExactIndicatorsEqualWalkTruthOnTiny) {
+  check_indicators_match_walk_truth(Tiny().tmpl);
+}
+
+TEST(ReachEncoder, ExactIndicatorsEqualWalkTruthOnTieChain) {
+  check_indicators_match_walk_truth(TieChain().tmpl);
+}
+
 // ---- ILP-MR -------------------------------------------------------------------
 
 TEST(IlpMr, AchievableTargetSucceeds) {
@@ -446,20 +571,7 @@ TEST(IlpAr, MatchesBruteForceOptimum) {
     std::vector<bool> sel(static_cast<std::size_t>(ne));
     for (int k = 0; k < ne; ++k) sel[static_cast<std::size_t>(k)] = (mask >> k) & 1u;
     const Configuration cfg(tiny.tmpl, sel);
-    const graph::Digraph g = cfg.selected_graph();
-    // Base rules: sink fed; any middle that feeds must be fed.
-    if (g.predecessors(tiny.t).empty()) continue;
-    bool legal = true;
-    for (NodeId m : {tiny.m1, tiny.m2}) {
-      if (!g.successors(m).empty()) {
-        bool fed_by_source = false;
-        for (NodeId p : g.predecessors(m)) {
-          if (p == tiny.s1 || p == tiny.s2) fed_by_source = true;
-        }
-        if (!fed_by_source) legal = false;
-      }
-    }
-    if (!legal) continue;
+    if (!tiny.base_rules_hold(cfg.selected_graph())) continue;
     if (cfg.worst_approximate_failure() > target) continue;
     best = std::min(best, cfg.total_cost());
   }
@@ -473,6 +585,90 @@ TEST(IlpAr, MatchesBruteForceOptimum) {
   const IlpArReport rep = run_ilp_ar(ilp, solver, opt);
   ASSERT_EQ(rep.status, SynthesisStatus::kSuccess);
   EXPECT_NEAR(rep.configuration->total_cost(), best, 1e-6);
+}
+
+/// Eq. (9) over eq. (11)'s counts, read off the selected graph: the sink is
+/// fed and Σ_types k·p^k <= target, where k counts the type's members with
+/// a walk from a source and one to the sink, each of length <= #types.
+bool meets_eq9_by_walks(const Template& tmpl, const graph::Digraph& g,
+                        double target) {
+  const graph::BoolMatrix eta = graph::walk_indicator(g, tmpl.num_types());
+  const auto fed = [&](NodeId w) {
+    for (NodeId s : tmpl.sources()) {
+      if (s == w || eta.get(s, w)) return true;
+    }
+    return false;
+  };
+  const graph::Partition part = tmpl.partition();
+  const std::vector<double> p = tmpl.type_failure_probs();
+  for (NodeId sink : tmpl.sinks()) {
+    if (!fed(sink)) return false;
+    double sum = 0.0;
+    for (graph::TypeId t = 0; t < part.num_types(); ++t) {
+      int k = 0;
+      for (NodeId w : part.members(t)) {
+        k += fed(w) && (w == sink || eta.get(w, sink));
+      }
+      if (k > 0) sum += k * std::pow(p[static_cast<std::size_t>(t)], k);
+    }
+    if (sum > target) return false;
+  }
+  return true;
+}
+
+TEST(IlpAr, FeasibleSetIsBaseRulesAndApproxTarget) {
+  // With every edge fixed, the ILP-AR model is feasible exactly when the
+  // base rules and eq. (9) over walk counts hold. Without a selected tie
+  // that is the base rules and worst r̃ <= target. A selected tie M1->M2
+  // makes the algebra's same-type shorthand count M2 as redundant even
+  // when M2 has no walk of its own to the sink; eq. (11) does not, so
+  // there the encoding is the stricter of the two.
+  const Tiny tiny;
+  const auto is_tie = [&](const CandidateEdge& e) {
+    return tiny.tmpl.component(e.from).type == tiny.tmpl.component(e.to).type;
+  };
+  for (const double target : {5e-2, 5e-3, 1.5e-3}) {
+    int feasible = 0;
+    const unsigned masks = 1u << tiny.tmpl.num_candidate_edges();
+    for (unsigned mask = 0; mask < masks; ++mask) {
+      const std::vector<bool> sel = edge_selection(tiny.tmpl, mask);
+      const Configuration cfg(tiny.tmpl, sel);
+      const graph::Digraph g = cfg.selected_graph();
+      const bool base = tiny.base_rules_hold(g);
+      const bool by_algebra =
+          base && cfg.worst_approximate_failure() <= target;
+      bool has_tie = false;
+      for (std::size_t k = 0; k < sel.size(); ++k) {
+        has_tie = has_tie ||
+                  (sel[k] && is_tie(tiny.tmpl.candidate_edge(
+                                 static_cast<int>(k))));
+      }
+
+      ArchitectureIlp ilp(tiny.tmpl);
+      tiny.base_rules(ilp);
+      fix_edges(ilp, sel);
+      IlpArOptions opt;
+      opt.target_failure = target;
+      (void)encode_ilp_ar(ilp, opt);
+      ilp::BranchAndBoundSolver solver;
+      const ilp::IlpResult res = solver.solve(ilp.model());
+      ASSERT_TRUE(res.optimal() || res.status == ilp::IlpStatus::kInfeasible);
+      const std::string where =
+          "target " + std::to_string(target) + " mask " + std::to_string(mask);
+      EXPECT_EQ(res.optimal(), base && meets_eq9_by_walks(tiny.tmpl, g, target))
+          << where;
+      if (!has_tie) {
+        EXPECT_EQ(res.optimal(), by_algebra) << where;
+      }
+      if (res.optimal()) {
+        EXPECT_TRUE(by_algebra) << where;
+      }
+      feasible += res.optimal();
+    }
+    // Each target must separate the selections.
+    EXPECT_GT(feasible, 0) << "target " << target;
+    EXPECT_LT(feasible, static_cast<int>(masks)) << "target " << target;
+  }
 }
 
 TEST(IlpAr, ValidatesOptions) {

@@ -346,6 +346,29 @@ TEST(SerializeEnvelope, ResponseRoundTripPreservesEverything) {
   EXPECT_EQ(restored.points[0].selected_edges, (std::vector<int>{1, 3}));
 }
 
+TEST(SerializeEnvelope, ArResponseCarriesApproxFailureBesideExact) {
+  // An "ar" answer is optimal for the algebra's r̃ <= target; the exact
+  // failure travels separately and may exceed the target.
+  SolveResponse ar;
+  ar.id = "r-ar";
+  ar.status = "optimal";
+  ar.failure = 2.24e-10;
+  ar.approx_failure = 9.6e-11;
+  const std::string line = to_json(ar);
+  EXPECT_NE(line.find("\"approx_failure\""), std::string::npos);
+  const SolveResponse restored = response_from_json(line);
+  EXPECT_DOUBLE_EQ(restored.failure, 2.24e-10);
+  ASSERT_TRUE(restored.approx_failure.has_value());
+  EXPECT_DOUBLE_EQ(*restored.approx_failure, 9.6e-11);
+
+  // Responses without an r̃ (mr, pareto, errors) carry no such member.
+  SolveResponse mr;
+  mr.id = "r-mr";
+  mr.status = "optimal";
+  EXPECT_EQ(to_json(mr).find("approx_failure"), std::string::npos);
+  EXPECT_FALSE(response_from_json(to_json(mr)).approx_failure.has_value());
+}
+
 TEST(SerializeEnvelope, ResponseCountersSurvivePast32Bits) {
   // The server serializes effort counters as long long; a long-lived server
   // can legitimately exceed 2^31 nodes, so parsing must not narrow via int.

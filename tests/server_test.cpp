@@ -152,6 +152,29 @@ TEST(SolveServerTest, LoopbackRequestResponse) {
   EXPECT_EQ(stats.malformed, 0);
 }
 
+TEST(SolveServerTest, ArResponseReportsApproxAndExactFailure) {
+  // "optimal" for ar certifies r̃ <= target; the exact failure rides beside
+  // it, and mr answers (exactly checked) carry no r̃.
+  server::SolveServer server;
+  server.start();
+  support::TcpStream client =
+      support::TcpStream::connect("127.0.0.1", server.port());
+  core::SolveRequest ar = eps_request("r-ar", 1, 1e-3);
+  ar.mode = core::SolveMode::kAr;
+  const core::SolveResponse response = exchange(client, ar);
+  EXPECT_EQ(response.status, "optimal");
+  ASSERT_TRUE(response.approx_failure.has_value());
+  EXPECT_GT(*response.approx_failure, 0.0);
+  EXPECT_LE(*response.approx_failure, 1e-3);
+  EXPECT_GT(response.failure, 0.0);
+  EXPECT_NE(response.failure, *response.approx_failure);
+
+  const core::SolveResponse mr = exchange(client, eps_request("r-mr", 2, 1e-3));
+  EXPECT_EQ(mr.status, "optimal");
+  EXPECT_FALSE(mr.approx_failure.has_value());
+  server.stop();
+}
+
 TEST(SolveServerTest, MalformedLineGetsErrorResponseAndConnectionSurvives) {
   server::SolveServer server;
   server.start();
